@@ -30,7 +30,13 @@ from .errors import (
     UnsupportedInput,
 )
 from .valued import LaurentElem, frobenius_power, nth_root, pth_root
-from .witt import WittVector, artin_schreier_map, frobenius_twist, witt_add
+from .witt import (
+    WittVector,
+    _cross_coeff,
+    artin_schreier_map,
+    frobenius_twist,
+    witt_add,
+)
 
 SPLIT = "split"
 
@@ -290,11 +296,6 @@ def as_coboundary_split(sym, g):
     return TraceStep("as_coboundary", (sym,), SPLIT, {"g": g})
 
 
-def _binom_mod_p(p, i):
-    """(p-1)! / (i! (p-i)!) as a plain integer (it divides exactly)."""
-    return math.factorial(p - 1) // (math.factorial(i) * math.factorial(p - i))
-
-
 def _full_power(a, k):
     """a^k for k >= 1 at the precision a determines, N + (k-1)*val(a).
 
@@ -406,7 +407,7 @@ def lemma54_rewrite(sym):
     acc = mixed
     cp = frobenius_power(c, 1)
     for i in range(1, p):
-        coef = _binom_mod_p(p, i) % p
+        coef = _cross_coeff(p, i) % p
         if coef == 0:
             continue
         piece = lemma53_split(coef, i, c, b)
@@ -418,13 +419,21 @@ def lemma54_rewrite(sym):
     return RewriteOutcome(acc, RewriteTrace(tuple(steps)))
 
 
-def _min_term_val(omega):
-    """min(0, valuations of the term-bearing components)."""
+def dominate_b(sym):
+    """Arrange v(b) < min(0, v(omega_i)) by b -> t^(-r p^m) * b, the
+    smallest such r.  Returns the symbol and its power_adjust_b step,
+    or the symbol unchanged and no step when b already dominates."""
     m0 = 0
-    for comp in omega.components:
+    for comp in sym.omega.components:
         if not comp.is_apparent_zero:
             m0 = min(m0, comp.val())
-    return m0
+    vb = sym.b.val()
+    if vb < m0:
+        return sym, ()
+    r = (vb - m0) // sym.p ** sym.m + 1
+    gamma = LaurentElem.t_power(sym.b.spec, -r, sym.b.precision)
+    out, step = power_adjust_b(sym, gamma)
+    return out, (step,)
 
 
 def normalize_symbol(sym):
@@ -434,9 +443,7 @@ def normalize_symbol(sym):
 
     Raises HypothesisViolation unless gcd(v(b), p) = 1.
     """
-    vb = sym.b.val()
-    p = sym.p
-    if math.gcd(vb, p) != 1:
+    if math.gcd(sym.b.val(), sym.p) != 1:
         raise HypothesisViolation("v(b) must be coprime to p")
     steps = []
     current = sym
@@ -447,13 +454,8 @@ def normalize_symbol(sym):
     if needs_twist:
         current, step = frob_twist(current, 1)
         steps.append(step)
-    m0 = _min_term_val(current.omega)
-    pm = p ** sym.m
-    if vb >= m0:
-        r = (vb - m0) // pm + 1
-        gamma = LaurentElem.t_power(current.b.spec, -r, current.b.precision)
-        current, step = power_adjust_b(current, gamma)
-        steps.append(step)
+    current, adjust = dominate_b(current)
+    steps.extend(adjust)
     return RewriteOutcome(current, RewriteTrace(tuple(steps)))
 
 
@@ -533,7 +535,7 @@ def is_split_quick(sym):
     if sym.m != 2:
         return None
     res = witt_reduce(sym.omega)
-    if res.first_kind != "zero":
+    if res.kinds[0] != "zero":
         return None
     steps = []
     reduced_sym = sym

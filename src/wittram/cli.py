@@ -21,27 +21,14 @@ from .brauer import (
 )
 from .coeff import FieldKind, FieldSpec, ResidueElem
 from .errors import (
-    DegenerateExtension,
-    DivisionByZero,
-    HypothesisNotVerified,
-    HypothesisViolation,
-    LimitExceeded,
-    NoRootError,
     ParseError,
     PrecisionExhausted,
-    ResidueTooSmall,
-    RuleViolation,
     ShapeMismatch,
-    SpecMismatch,
     UnsupportedCase,
     UnsupportedInput,
+    WittramError,
 )
-from .extension import (
-    Classification,
-    RamReport,
-    classify_deg_p,
-    classify_len2,
-)
+from .extension import Classification, RamReport, classify
 from .grammar import (
     parse_element,
     parse_laurent,
@@ -65,21 +52,6 @@ from .theorems import (
 from .valued import DEFAULT_PRECISION, LaurentElem
 from .witt import WittVector, _check_caps, ghost_polys, sum_polys, witt_neg
 from . import sampling
-
-_DOMAIN_ERRORS = (
-    HypothesisViolation,
-    HypothesisNotVerified,
-    UnsupportedCase,
-    UnsupportedInput,
-    ShapeMismatch,
-    SpecMismatch,
-    RuleViolation,
-    NoRootError,
-    DegenerateExtension,
-    LimitExceeded,
-    ResidueTooSmall,
-    DivisionByZero,
-)
 
 _VERDICT_NAMES = {
     "split": "Split",
@@ -249,17 +221,11 @@ def _cmd_ram_analyze(args):
         raise ShapeMismatch("analyze takes a series or a vector, not a symbol")
     if isinstance(el, WittVector):
         m = _resolve_m(args, el.m)
-        if m == 1:
-            report = classify_deg_p(el.components[0])
-        elif m == 2:
-            report = classify_len2(el)
-        else:
-            raise UnsupportedCase("classification is implemented for m <= 2")
         shown = render_witt(el, args.precision)
     else:
         m = _resolve_m(args, 1)
-        report = classify_deg_p(el)
         shown = render_laurent(el, args.precision)
+    report = classify(el)
     evidence = dict(report.evidence)
     evidence["source"] = report.source
     return _Report(
@@ -496,12 +462,14 @@ def _cmd_oracle_ghost_check(args):
 def _cmd_oracle_newton_check(args):
     spec = _base_spec(args)
     m = _resolve_m(args, 1)
+    if args.count < 1:
+        raise UnsupportedInput(f"--count must be at least 1, got {args.count}")
     rng = sampling.make_rng(args.seed)
     agree = 0
     mismatches = []
     for _ in range(args.count):
         omega1 = sampling.random_classify_input(rng, spec, args.precision)
-        got = classify_deg_p(omega1).classification.value
+        got = classify(omega1).classification.value
         want = newton_classify_deg_p(omega1)
         if got == want or "unclassified" in (got, want):
             agree += 1
@@ -631,7 +599,7 @@ def run_command(argv):
         return 3, _error_text(args, "ParseError", str(exc))
     except PrecisionExhausted as exc:
         return 4, _error_text(args, "PrecisionExhausted", str(exc))
-    except _DOMAIN_ERRORS as exc:
+    except WittramError as exc:
         return 2, _error_text(args, type(exc).__name__, str(exc))
     if args.format == "structured":
         record = {

@@ -363,19 +363,6 @@ class ResidueElem:
         return f"ResidueElem({self!s})"
 
 
-def arith(a, b, op):
-    """Apply one of {add, sub, mul, div} to two residue elements."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _poly_pth_root(cs, p):
     """Root of a polynomial under the Frobenius, or None.
 

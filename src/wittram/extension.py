@@ -3,9 +3,9 @@
 Everything here works over K = k((t)).  An equation x^p - x = omega is
 reduced by subtracting Artin-Schreier coboundaries g^p - g until the
 right side is zero, a constant, or has negative valuation; the shape of
-the reduced form decides how K(x)/K ramifies.  Length-2 vectors get the
-same treatment one component at a time, with every step applied through
-the Witt group law so the pair stays in the same class.
+the reduced form decides how K(x)/K ramifies.  Vectors get the same
+treatment one component at a time, with every step applied through the
+Witt group law so the vector stays in the same class.
 """
 
 import dataclasses
@@ -58,23 +58,17 @@ class RamReport:
 
 
 def _strip_witness(omega):
-    """Witness c for one leading-term strip, or None if no strip applies.
-
-    A strip applies when val(omega) is negative, divisible by p, and the
-    leading coefficient has a p-th root r; then c = r * t^(v/p) and
-    omega - (c^p - c) has strictly larger valuation.
+    """Witness c for one leading-term strip of omega, whose valuation v
+    is negative and divisible by p, or None when the leading coefficient
+    has no p-th root r.  Then c = r * t^(v/p) and omega - (c^p - c) has
+    strictly larger valuation.
     """
-    if omega.is_apparent_zero:
-        return None
-    v = omega.val()
-    p = omega.spec.p
-    if v >= 0 or v % p != 0:
-        return None
     r = coeff.pth_root(omega.leading_coeff())
     if r is None:
         return None
-    prec = max(omega.precision, v // p + 1)
-    return LaurentElem(omega.spec, {v // p: r}, prec)
+    v = omega.val()
+    prec = max(omega.precision, v // omega.spec.p + 1)
+    return LaurentElem(omega.spec, {v // omega.spec.p: r}, prec)
 
 
 def _tail_witness(omega):
@@ -101,6 +95,34 @@ def _coboundary(g):
     return frobenius_power(g, 1) - g
 
 
+def _next_move(comp):
+    """The next coboundary reduction move on one component, as (move, datum).
+
+    The reduction ends on "zero", "opaque" (zero to an empty precision
+    window), "neg_coprime" (valuation negative and coprime to p),
+    "stalled" (no p-th root of the leading coefficient) or "constant",
+    whose datum is the residue at t^0.  Otherwise the move is "strip" or
+    "absorb_tail", and its datum g is the witness to subtract as g^p - g.
+    """
+    if comp.is_apparent_zero:
+        return ("opaque" if comp.precision <= 0 else "zero"), None
+    v = comp.val()
+    if v < 0:
+        if v % comp.spec.p != 0:
+            return "neg_coprime", None
+        c = _strip_witness(comp)
+        return ("stalled", None) if c is None else ("strip", c)
+    g = _tail_witness(comp)
+    if g is not None:
+        return "absorb_tail", g
+    return "constant", comp.residue_at(0)
+
+
+def _stall_step(comp, **where):
+    return {"op": "stall", **where, "valuation": comp.val(),
+            "leading": str(comp.leading_coeff())}
+
+
 def as_reduce(omega):
     """Reduce omega modulo Artin-Schreier coboundaries g^p - g.
 
@@ -113,39 +135,22 @@ def as_reduce(omega):
     witness = omega.scale_int(0)
     current = omega
     while True:
-        if current.is_apparent_zero:
-            if current.precision <= 0:
-                raise PrecisionExhausted(
-                    "series is zero to the available precision but the "
-                    "precision window is empty"
-                )
-            return ReducedForm("zero", current, None, witness, tuple(steps))
-        v = current.val()
-        if v < 0:
-            if v % current.spec.p != 0:
-                return ReducedForm("neg_coprime", current, None, witness, tuple(steps))
-            c = _strip_witness(current)
-            if c is None:
-                steps.append(
-                    {
-                        "op": "stall",
-                        "valuation": v,
-                        "leading": str(current.leading_coeff()),
-                    }
-                )
-                return ReducedForm("stalled", current, None, witness, tuple(steps))
-            current = current - _coboundary(c)
-            witness = witness + c
-            steps.append({"op": "strip", "witness": str(c), "new_val_above": v})
-            continue
-        g = _tail_witness(current)
-        if g is not None:
-            current = current - _coboundary(g)
-            witness = witness + g
-            steps.append({"op": "absorb_tail", "witness": str(g)})
-            continue
-        const = current.residue_at(0)
-        return ReducedForm("constant", current, const, witness, tuple(steps))
+        move, datum = _next_move(current)
+        if move == "opaque":
+            raise PrecisionExhausted(
+                "series is zero to the available precision but the "
+                "precision window is empty"
+            )
+        if move == "stalled":
+            steps.append(_stall_step(current))
+        if move not in ("strip", "absorb_tail"):
+            return ReducedForm(move, current, datum, witness, tuple(steps))
+        step = {"op": move, "witness": str(datum)}
+        if move == "strip":
+            step["new_val_above"] = current.val()
+        current = current - _coboundary(datum)
+        witness = witness + datum
+        steps.append(step)
 
 
 def tr_valuation_evidence(p, m, v1):
@@ -188,67 +193,52 @@ def newton_valuations(eta):
     return tr_valuation_evidence(p, 2, v1)
 
 
+def _single_verdict(p, kind, const, element):
+    """Verdict and evidence for one reduced component of the given kind."""
+    if kind == "zero":
+        return Classification.SPLIT, {}
+    if kind == "neg_coprime":
+        v = element.val()
+        return Classification.TOTALLY_RAMIFIED, {
+            "v_omega": v, "v_x1": Fraction(v, p), "ramification_index": p,
+        }
+    if kind == "constant":
+        return Classification.UNRAMIFIED, {
+            "residue_constant": str(const), "residue_degree": p,
+        }
+    return Classification.UNCLASSIFIED, {"reason": f"component reduction: {kind}"}
+
+
 def classify_deg_p(omega):
     """Classify K(x)/K for x^p - x = omega: split, unramified, totally
     ramified, or unclassified when reduction stalls."""
     red = as_reduce(omega)
-    p = omega.spec.p
-    trace = tuple(red.steps)
-    if red.kind == "zero":
-        return RamReport(
-            Classification.SPLIT,
-            trace,
-            {"witness": str(red.witness)},
-            red.element,
-            "classify_deg_p",
-        )
-    if red.kind == "neg_coprime":
-        v = red.element.val()
-        return RamReport(
-            Classification.TOTALLY_RAMIFIED,
-            trace,
-            {
-                "v_omega": v,
-                "v_x1": Fraction(v, p),
-                "ramification_index": p,
-            },
-            red.element,
-            "classify_deg_p",
-        )
-    if red.kind == "stalled":
-        return RamReport(
-            Classification.UNCLASSIFIED,
-            trace,
-            {"reason": "leading coefficient has no p-th root in the residue field"},
-            red.element,
-            "classify_deg_p",
-        )
-    const = red.constant
-    try:
-        g = coeff.in_AS_image(const)
-    except UnsupportedInput:
-        return RamReport(
-            Classification.UNCLASSIFIED,
-            trace + ({"op": "constant_undecided", "constant": str(const)},),
-            {"reason": "membership in the coboundary image is undecided here"},
-            red.element,
-            "classify_deg_p",
-        )
-    if g is not None:
-        return RamReport(
-            Classification.SPLIT,
-            trace + ({"op": "constant_split", "witness": str(g)},),
-            {"witness": str(red.witness), "constant_witness": str(g)},
-            red.element.scale_int(0),
-            "classify_deg_p",
-        )
-    return RamReport(
-        Classification.UNRAMIFIED,
-        trace,
-        {"residue_constant": str(const), "residue_degree": p},
-        red.element,
-        "classify_deg_p",
-    )
+    kind, const, element = red.kind, red.constant, red.element
+    trace = red.steps
+    constant_witness = {}
+    if kind == "constant":
+        try:
+            g = coeff.in_AS_image(const)
+        except UnsupportedInput:
+            return RamReport(
+                Classification.UNCLASSIFIED,
+                trace + ({"op": "constant_undecided", "constant": str(const)},),
+                {"reason": "membership in the coboundary image is undecided here"},
+                element,
+                "classify_deg_p",
+            )
+        if g is not None:
+            kind, element = "zero", element.scale_int(0)
+            trace += ({"op": "constant_split", "witness": str(g)},)
+            constant_witness = {"constant_witness": str(g)}
+    verdict, evidence = _single_verdict(omega.spec.p, kind, const, element)
+    if kind == "zero":
+        evidence = {"witness": str(red.witness), **constant_witness}
+    elif kind == "stalled":
+        evidence = {
+            "reason": "leading coefficient has no p-th root in the residue field"
+        }
+    return RamReport(verdict, trace, evidence, element, "classify_deg_p")
 
 
 def _unit_vector(eta, idx, g):
@@ -259,99 +249,91 @@ def _unit_vector(eta, idx, g):
     return WittVector(eta.p, eta.m, comps)
 
 
-def _reduce_component(eta, witness, idx, steps):
-    """Drive component idx of eta to a reduced form with vector-level
-    coboundary corrections.  Returns (eta, witness, kind, constant);
-    the witness vector accumulates g with eta_in = eta_out + (F(g) - g)."""
-    def correct(state, g):
-        eta, witness = state
-        vec = _unit_vector(eta, idx, g)
-        return witt_sub(eta, artin_schreier_map(vec)), witt_add(witness, vec)
-
-    state = (eta, witness)
-    while True:
-        eta, witness = state
-        comp = eta.components[idx]
-        if comp.is_apparent_zero:
-            if comp.precision <= 0:
-                return eta, witness, "opaque", None
-            return eta, witness, "zero", None
-        v = comp.val()
-        if v < 0:
-            if v % eta.p != 0:
-                return eta, witness, "neg_coprime", None
-            c = _strip_witness(comp)
-            if c is None:
-                steps.append(
-                    {
-                        "op": "stall",
-                        "component": idx,
-                        "valuation": v,
-                        "leading": str(comp.leading_coeff()),
-                    }
-                )
-                return eta, witness, "stalled", None
-            state = correct(state, c)
-            steps.append({"op": "strip", "component": idx, "witness": str(c)})
-            continue
-        g = _tail_witness(comp)
-        if g is not None:
-            state = correct(state, g)
-            steps.append({"op": "absorb_tail", "component": idx, "witness": str(g)})
-            continue
-        const = comp.residue_at(0)
-        try:
-            w = coeff.in_AS_image(const)
-        except UnsupportedInput:
-            steps.append({"op": "constant_undecided", "component": idx})
-            return eta, witness, "constant_undecided", const
-        if w is None:
-            return eta, witness, "constant", const
-        wl = LaurentElem.from_residue(w, max(comp.precision, 1))
-        state = correct(state, wl)
-        steps.append({"op": "kill_constant", "component": idx, "witness": str(w)})
-
-
 @dataclasses.dataclass(frozen=True)
 class WittReduceResult:
+    """kinds[i] is how component i ended: "zero", "opaque", "neg_coprime",
+    "stalled", "constant" or "constant_undecided"; constants[i] holds the
+    residue for the last two and None otherwise."""
+
     reduced: "WittVector"
-    first_kind: str
-    first_const: object
-    second_kind: str
-    second_const: object
+    kinds: tuple
+    constants: tuple
     steps: tuple
     witness: "WittVector"
 
 
 def witt_reduce(eta):
-    """Reduce both components of a length-2 vector through the group law.
+    """Reduce each component of a vector in turn through the group law.
 
-    The result's witness vector g satisfies eta = reduced + (F(g) - g)
-    in the Witt group, up to the working precision.
+    A correction in slot i changes only slots i and later, so the slots
+    before it stay reduced.  Unlike as_reduce, constants in the
+    coboundary image are killed too.  The result's witness vector g
+    satisfies eta = reduced + (F(g) - g) in the Witt group, up to the
+    working precision.
     """
-    if not isinstance(eta, WittVector) or eta.m != 2:
-        raise ShapeMismatch("witt_reduce expects a length-2 vector")
+    if not isinstance(eta, WittVector):
+        raise ShapeMismatch("witt_reduce expects a Witt vector")
     if not isinstance(eta.components[0], LaurentElem):
         raise ShapeMismatch("witt_reduce expects Laurent series components")
     steps = []
     zero = eta.components[0].scale_int(0)
-    witness = WittVector(eta.p, eta.m, (zero, zero))
-    eta, witness, kind1, const1 = _reduce_component(eta, witness, 0, steps)
-    eta, witness, kind2, const2 = _reduce_component(eta, witness, 1, steps)
+    witness = WittVector(eta.p, eta.m, (zero,) * eta.m)
+    kinds = []
+    constants = []
+    for idx in range(eta.m):
+        while True:
+            comp = eta.components[idx]
+            move, g = _next_move(comp)
+            const = g if move == "constant" else None
+            if move == "constant":
+                try:
+                    w = coeff.in_AS_image(const)
+                except UnsupportedInput:
+                    steps.append({"op": "constant_undecided", "component": idx})
+                    move = "constant_undecided"
+                    break
+                if w is None:
+                    break
+                g = LaurentElem.from_residue(w, max(comp.precision, 1))
+                step = {"op": "kill_constant", "component": idx, "witness": str(w)}
+            elif move in ("strip", "absorb_tail"):
+                step = {"op": move, "component": idx, "witness": str(g)}
+            else:
+                if move == "stalled":
+                    steps.append(_stall_step(comp, component=idx))
+                break
+            vec = _unit_vector(eta, idx, g)
+            eta = witt_sub(eta, artin_schreier_map(vec))
+            witness = witt_add(witness, vec)
+            steps.append(step)
+        kinds.append(move)
+        constants.append(const)
     return WittReduceResult(
-        eta, kind1, const1, kind2, const2, tuple(steps), witness
+        eta, tuple(kinds), tuple(constants), tuple(steps), witness
     )
+
+
+def classify(omega):
+    """Classify the cyclic extension of a series (degree p) or of a
+    vector of length m <= 2 (degree p^m)."""
+    if not isinstance(omega, WittVector):
+        return classify_deg_p(omega)
+    if omega.m == 1:
+        return classify_deg_p(omega.components[0])
+    if omega.m == 2:
+        return classify_len2(omega)
+    raise UnsupportedCase("classification is implemented for m <= 2")
 
 
 def classify_len2(eta):
     """Classify the degree-p^2 extension attached to a length-2 vector."""
+    if not isinstance(eta, WittVector) or eta.m != 2:
+        raise ShapeMismatch("classify_len2 expects a length-2 vector")
     res = witt_reduce(eta)
     eta = res.reduced
-    kind1, const1 = res.first_kind, res.first_const
-    kind2, const2 = res.second_kind, res.second_const
-    steps = list(res.steps)
+    (kind1, kind2), (const1, const2) = res.kinds, res.constants
     p = eta.p
-    trace = tuple(steps)
+    trace = res.steps
     comp1, comp2 = eta.components
 
     if kind1 == "opaque":
@@ -360,12 +342,12 @@ def classify_len2(eta):
         )
 
     if kind1 == "zero":
-        inner = _classify_reduced_single(p, kind2, const2, comp2)
+        verdict, evidence = _single_verdict(p, kind2, const2, comp2)
         return RamReport(
-            inner[0],
+            verdict,
             trace + ({"op": "degenerate", "note": "first component reduces to zero; "
                       "the pair generates only a degree-p extension"},),
-            dict(inner[1], degenerate=True),
+            dict(evidence, degenerate=True),
             eta,
             "classify_len2",
         )
@@ -443,24 +425,6 @@ def classify_len2(eta):
         eta,
         "classify_len2",
     )
-
-
-def _classify_reduced_single(p, kind, const, comp):
-    """Classification data for an already-reduced single component."""
-    if kind == "zero":
-        return (Classification.SPLIT, {})
-    if kind == "neg_coprime":
-        v = comp.val()
-        return (
-            Classification.TOTALLY_RAMIFIED,
-            {"v_omega": v, "v_x1": Fraction(v, p), "ramification_index": p},
-        )
-    if kind == "constant":
-        return (
-            Classification.UNRAMIFIED,
-            {"residue_constant": str(const), "residue_degree": p},
-        )
-    return (Classification.UNCLASSIFIED, {"reason": f"component reduction: {kind}"})
 
 
 def _second_relation_coeffs(p, omega1, omega2):

@@ -10,7 +10,7 @@ coefficients are parenthesized: (u+1)*t^2, (u^2+u+1)/(u)*t.
 Witt vectors: [e1; e2].  Symbols: [[e1; e2]; b).
 """
 
-from .coeff import FieldKind, ResidueElem, _pdeg, _ptrim
+from .coeff import FieldKind, ResidueElem, _padd, _ptrim
 from .errors import ParseError
 from .valued import DEFAULT_PRECISION, LaurentElem
 
@@ -167,13 +167,6 @@ def _parse_u_atom(toks):
     return (0,) * e + (1,)
 
 
-def _poly_add(a, b, p):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _ptrim(tuple(out))
-
-
 def _poly_scale(a, c, p):
     return _ptrim(tuple((c * x) % p for x in a))
 
@@ -196,12 +189,12 @@ def _parse_poly(toks, p):
             if _star_then_u(toks):
                 toks.next()
                 atom = _parse_u_atom(toks)
-                total = _poly_add(total, _poly_scale(atom, c, p), p)
+                total = _padd(total, _poly_scale(atom, c, p), p)
             else:
-                total = _poly_add(total, ((c,) if c else ()), p)
+                total = _padd(total, ((c,) if c else ()), p)
         elif tok[0] == "NAME" and tok[1] == "u":
             atom = _parse_u_atom(toks)
-            total = _poly_add(total, atom, p)
+            total = _padd(total, atom, p)
         else:
             raise ParseError(
                 f"found {tok[1]!r}",

@@ -24,6 +24,7 @@ from .brauer import (
     BrauerSymbol,
     RewriteTrace,
     absorb_split,
+    dominate_b,
     lemma54_rewrite,
     normalize_symbol,
     same_b_add,
@@ -38,20 +39,13 @@ from .errors import (
 from .extension import (
     Classification,
     CyclicExtDesc,
+    classify,
     classify_deg_p,
     classify_len2,
     norm_element,
 )
 from .valued import DEFAULT_PRECISION, LaurentElem, ext_val
-from .witt import WittVector, witt_add
-
-
-def _classify_vector(omega):
-    if omega.m == 1:
-        return classify_deg_p(omega.components[0])
-    if omega.m == 2:
-        return classify_len2(omega)
-    raise UnsupportedCase("classification implemented for m <= 2")
+from .witt import WittVector
 
 
 @dataclasses.dataclass(frozen=True)
@@ -130,7 +124,7 @@ def cyclic_to_insep(omega, b):
     """
     if not isinstance(omega, WittVector):
         raise ShapeMismatch("expected a Witt vector")
-    report = _classify_vector(omega)
+    report = classify(omega)
     if report.classification is Classification.UNCLASSIFIED:
         raise UnsupportedCase(
             "the analyzer could not settle the input; totally ramified "
@@ -229,24 +223,11 @@ def insep_to_cyclic_perfect(sym):
         raise HypothesisViolation(
             "this construction is stated over the prime residue field"
         )
-    vb = sym.b.val()
     p = sym.p
-    if math.gcd(vb, p) != 1:
+    if math.gcd(sym.b.val(), p) != 1:
         raise HypothesisViolation("v(b) must be coprime to p")
-    steps = []
-    cur = sym
-    m0 = 0
-    for comp in cur.omega.components:
-        if not comp.is_apparent_zero:
-            m0 = min(m0, comp.val())
-    pm = p ** sym.m
-    if vb >= m0:
-        from .brauer import power_adjust_b
-
-        r = (vb - m0) // pm + 1
-        gamma = LaurentElem.t_power(spec, -r, cur.b.precision)
-        cur, step = power_adjust_b(cur, gamma)
-        steps.append(step)
+    cur, adjust = dominate_b(sym)
+    steps = list(adjust)
     b = cur.b
     zero = b.scale_int(0)
     shift = WittVector(p, sym.m, (b,) + (zero,) * (sym.m - 1))
@@ -255,7 +236,7 @@ def insep_to_cyclic_perfect(sym):
     result, step = same_b_add(cur, trivial)
     steps.append(step)
     if sym.m <= 2:
-        report = _classify_vector(result.omega)
+        report = classify(result.omega)
         level = "full"
     else:
         report = classify_deg_p(result.omega.components[0])
@@ -306,7 +287,7 @@ def division_certificate(omega, b):
         raise HypothesisNotVerified(
             "coprime_valuation", f"v(b) = {vb} is divisible by {p}"
         )
-    report = _classify_vector(omega)
+    report = classify(omega)
     if report.classification is not Classification.UNRAMIFIED:
         raise HypothesisNotVerified(
             "unramified_extension",

@@ -23,7 +23,6 @@ from fractions import Fraction
 
 from . import coeff as _coeff
 from .errors import (
-    DivisionByZero,
     LimitExceeded,
     PrecisionExhausted,
     SpecMismatch,
@@ -231,23 +230,6 @@ class LaurentElem:
 
     def __repr__(self):
         return f"LaurentElem({self!s})"
-
-
-def laurent_arith(a, b, op):
-    """Apply one of {add, sub, mul, inv} (inv ignores b)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise ValueError(f"unknown op {op!r}")
-
-
-def val(a):
-    return a.val()
 
 
 def pth_power(a):

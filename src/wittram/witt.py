@@ -141,10 +141,6 @@ class IntPoly:
             return args[0].scale_int(0)
         return acc
 
-    def compose(self, values):
-        """Substitute polynomial values for the variables."""
-        return self.evaluate(values)
-
     def __eq__(self, other):
         if not isinstance(other, IntPoly):
             return NotImplemented
@@ -333,6 +329,11 @@ def artin_schreier_map(a):
     return witt_sub(frobenius_twist(a, 1), a)
 
 
+def _cross_coeff(p, i):
+    """(p-1)! / (i! (p-i)!) as a plain integer (it divides exactly)."""
+    return math.factorial(p - 1) // (math.factorial(i) * math.factorial(p - i))
+
+
 def lemma54_closed_form(p, c, omega2, b):
     """The length-2 sum (c^p, omega2) + (b, 0) written in closed form.
 
@@ -346,7 +347,6 @@ def lemma54_closed_form(p, c, omega2, b):
     first = cp + b
     second = omega2
     for i in range(1, p):
-        coef = math.factorial(p - 1) // (math.factorial(i) * math.factorial(p - i))
-        term = (frobenius_power(c, 1) ** i) * (b ** (p - i))
-        second = second - term.scale_int(coef)
+        term = (cp ** i) * (b ** (p - i))
+        second = second - term.scale_int(_cross_coeff(p, i))
     return WittVector(p, 2, (first, second))

@@ -2,9 +2,16 @@
 structured output schema."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from wittram import cli
 from wittram.cli import main, run_command
+from wittram.errors import InternalInexactDivision
 
 
 # -- golden transcripts, text mode ---------------------------------------------
@@ -160,6 +167,295 @@ def test_oracle_newton_check_transcript():
     assert text == "verdict: agreement 25/25"
 
 
+# Recorded before the length-1 and length-2 reduction loops were merged
+# into one.  Together they cover every reduction step kind (strip,
+# absorb_tail, stall, kill_constant, constant_split, constant_undecided,
+# degenerate) and the trace dict reprs that text mode prints.
+RAM_ANALYZE_GOLDEN = [
+    (
+        ['--p', '2', 't^-2 + t^3'],
+        [
+            'verdict: TotallyRamified',
+            'evidence: v_omega = -1; v_x1 = -1/2; ramification_index = 2',
+            "trace (1 steps): {'op': 'strip', 'witness': 't^-1', "
+            "'new_val_above': -2}",
+        ],
+        {'config': {'p': 2,
+                    'm': 1,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': 't^-2 + t^3'},
+         'trace': [{'op': 'strip', 'witness': 't^-1', 'new_val_above': -2}],
+         'verdict': 'totally_ramified',
+         'evidence': {'v_omega': -1,
+                      'v_x1': '-1/2',
+                      'ramification_index': 2,
+                      'source': 'classify_deg_p'}},
+    ),
+    (
+        ['--p', '2', '[t^-2 + t; t^3]'],
+        [
+            'verdict: TotallyRamified',
+            'evidence: v_omega1 = -1; v_x1 = -1/2; v_x2 = -3/4; '
+            'ramification_index = 4; value_group_note = v(x2) lies in '
+            '(1/p^2)Z but not in (1/p)Z',
+            "trace (1 steps): {'op': 'strip', 'component': 0, 'witness': "
+            "'t^-1'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 2,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '[t^-2 + t; t^3]'},
+         'trace': [{'op': 'strip', 'component': 0, 'witness': 't^-1'}],
+         'verdict': 'totally_ramified',
+         'evidence': {'v_omega1': -1,
+                      'v_x1': '-1/2',
+                      'v_x2': '-3/4',
+                      'ramification_index': 4,
+                      'value_group_note': 'v(x2) lies in (1/p^2)Z but not in '
+                                          '(1/p)Z',
+                      'source': 'classify_len2'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', 'u*t^-2'],
+        [
+            'verdict: Unclassified',
+            'evidence: reason = leading coefficient has no p-th root in the '
+            'residue field',
+            "trace (1 steps): {'op': 'stall', 'valuation': -2, 'leading': 'u'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 1,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': 'u*t^-2'},
+         'trace': [{'op': 'stall', 'valuation': -2, 'leading': 'u'}],
+         'verdict': 'unclassified',
+         'evidence': {'reason': 'leading coefficient has no p-th root in the '
+                                'residue field',
+                      'source': 'classify_deg_p'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', 'u^2 + u + t'],
+        [
+            'verdict: Split',
+            'evidence: witness = t + t^2 + t^4 + t^8 + t^16 + t^32; '
+            'constant_witness = u',
+            "trace (2 steps): {'op': 'absorb_tail', 'witness': 't + t^2 + "
+            "t^4 + t^8 + t^16 + t^32'}, {'op': 'constant_split', 'witness': "
+            "'u'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 1,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '(u^2+u) + t'},
+         'trace': [{'op': 'absorb_tail',
+                    'witness': 't + t^2 + t^4 + t^8 + t^16 + t^32'},
+                   {'op': 'constant_split', 'witness': 'u'}],
+         'verdict': 'split',
+         'evidence': {'witness': 't + t^2 + t^4 + t^8 + t^16 + t^32',
+                      'constant_witness': 'u',
+                      'source': 'classify_deg_p'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', '(1)/(u)'],
+        [
+            'verdict: Unclassified',
+            'evidence: reason = membership in the coboundary image is '
+            'undecided here',
+            "trace (1 steps): {'op': 'constant_undecided', 'constant': "
+            "'(1)/(u)'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 1,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '((1)/(u))'},
+         'trace': [{'op': 'constant_undecided', 'constant': '(1)/(u)'}],
+         'verdict': 'unclassified',
+         'evidence': {'reason': 'membership in the coboundary image is '
+                                'undecided here',
+                      'source': 'classify_deg_p'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', '[u^2 + u; t^-1]'],
+        [
+            'verdict: TotallyRamified',
+            'evidence: v_omega = -1; v_x1 = -1/2; ramification_index = 2; '
+            'degenerate = True',
+            "trace (2 steps): {'op': 'kill_constant', 'component': 0, "
+            "'witness': 'u'}, {'op': 'degenerate', 'note': 'first component "
+            "reduces to zero; the pair generates only a degree-p extension'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 2,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '[(u^2+u); t^-1]'},
+         'trace': [{'op': 'kill_constant', 'component': 0, 'witness': 'u'},
+                   {'op': 'degenerate',
+                    'note': 'first component reduces to zero; the pair '
+                            'generates only a degree-p extension'}],
+         'verdict': 'totally_ramified',
+         'evidence': {'v_omega': -1,
+                      'v_x1': '-1/2',
+                      'ramification_index': 2,
+                      'degenerate': True,
+                      'source': 'classify_len2'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', '[u*t^-2; t]'],
+        [
+            'verdict: Unclassified',
+            'evidence: reason = reduction of a component stalled or was '
+            'undecided',
+            "trace (2 steps): {'op': 'stall', 'component': 0, 'valuation': "
+            "-2, 'leading': 'u'}, {'op': 'absorb_tail', 'component': 1, "
+            "'witness': 't + t^2 + t^4 + t^8 + t^16 + t^32'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 2,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '[u*t^-2; t]'},
+         'trace': [{'op': 'stall',
+                    'component': 0,
+                    'valuation': -2,
+                    'leading': 'u'},
+                   {'op': 'absorb_tail',
+                    'component': 1,
+                    'witness': 't + t^2 + t^4 + t^8 + t^16 + t^32'}],
+         'verdict': 'unclassified',
+         'evidence': {'reason': 'reduction of a component stalled or was '
+                                'undecided',
+                      'source': 'classify_len2'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', '[t^2; (1)/(u)]'],
+        [
+            'verdict: Unclassified',
+            'evidence: reason = component reduction: constant_undecided; '
+            'degenerate = True',
+            "trace (4 steps): {'op': 'absorb_tail', 'component': 0, "
+            "'witness': 't^2 + t^4 + t^8 + t^16 + t^32'}, {'op': "
+            "'absorb_tail', 'component': 1, 'witness': 't^4 + t^6 + t^8 + "
+            't^10 + t^12 + t^16 + t^18 + t^20 + t^24 + t^32 + t^34 + t^36 + '
+            "t^40 + t^48'}, {'op': 'constant_undecided', 'component': 1}, "
+            "{'op': 'degenerate', 'note': 'first component reduces to zero; "
+            "the pair generates only a degree-p extension'}",
+        ],
+        {'config': {'p': 2,
+                    'm': 2,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '[t^2; ((1)/(u))]'},
+         'trace': [{'op': 'absorb_tail',
+                    'component': 0,
+                    'witness': 't^2 + t^4 + t^8 + t^16 + t^32'},
+                   {'op': 'absorb_tail',
+                    'component': 1,
+                    'witness': 't^4 + t^6 + t^8 + t^10 + t^12 + t^16 + t^18 + '
+                               't^20 + t^24 + t^32 + t^34 + t^36 + t^40 + '
+                               't^48'},
+                   {'op': 'constant_undecided', 'component': 1},
+                   {'op': 'degenerate',
+                    'note': 'first component reduces to zero; the pair '
+                            'generates only a degree-p extension'}],
+         'verdict': 'unclassified',
+         'evidence': {'reason': 'component reduction: constant_undecided',
+                      'degenerate': True,
+                      'source': 'classify_len2'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', '[u; (1)/(u)]'],
+        [
+            'verdict: Unclassified',
+            'evidence: reason = first level is unramified but the second '
+            'component is not integral or not decided',
+            "trace (1 steps): {'op': 'constant_undecided', 'component': 1}",
+        ],
+        {'config': {'p': 2,
+                    'm': 2,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '[u; ((1)/(u))]'},
+         'trace': [{'op': 'constant_undecided', 'component': 1}],
+         'verdict': 'unclassified',
+         'evidence': {'reason': 'first level is unramified but the second '
+                                'component is not integral or not decided',
+                      'source': 'classify_len2'}},
+    ),
+    (
+        ['--p', '3', '--residue', 'fp-u', 'u + t^-3'],
+        [
+            'verdict: TotallyRamified',
+            'evidence: v_omega = -1; v_x1 = -1/3; ramification_index = 3',
+            "trace (1 steps): {'op': 'strip', 'witness': 't^-1', "
+            "'new_val_above': -3}",
+        ],
+        {'config': {'p': 3,
+                    'm': 1,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': 't^-3 + u'},
+         'trace': [{'op': 'strip', 'witness': 't^-1', 'new_val_above': -3}],
+         'verdict': 'totally_ramified',
+         'evidence': {'v_omega': -1,
+                      'v_x1': '-1/3',
+                      'ramification_index': 3,
+                      'source': 'classify_deg_p'}},
+    ),
+    (
+        ['--p', '3', '[t^-1; t^-5 + t^2]'],
+        [
+            'verdict: Unclassified',
+            'evidence: reason = second component dominates; finishing the '
+            'reduction needs arithmetic over the degree-p subextension; '
+            'v_omega1 = -1; v_omega2 = -5',
+        ],
+        {'config': {'p': 3,
+                    'm': 2,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'element': '[t^-1; t^-5 + t^2]'},
+         'trace': [],
+         'verdict': 'unclassified',
+         'evidence': {'reason': 'second component dominates; finishing the '
+                                'reduction needs arithmetic over the degree-p '
+                                'subextension',
+                      'v_omega1': -1,
+                      'v_omega2': -5,
+                      'source': 'classify_len2'}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text_lines, record", RAM_ANALYZE_GOLDEN,
+    ids=[case[0][-1] for case in RAM_ANALYZE_GOLDEN],
+)
+def test_ram_analyze_golden_transcripts(argv, text_lines, record):
+    code, text = run_command(["ram", "analyze"] + argv)
+    assert code == 0
+    assert text.splitlines() == text_lines
+    code, text = run_command(["ram", "analyze"] + argv + ["--format", "structured"])
+    assert code == 0
+    assert text == json.dumps(record)
+
+
 # -- exit code edges -------------------------------------------------------------
 
 def test_m_flag_conflict_exits_2():
@@ -195,6 +491,29 @@ def test_newton_check_mismatch_exits_1(monkeypatch):
     lines = text.splitlines()
     assert lines[0].startswith("verdict: agreement ")
     assert any(line.startswith("mismatch: ") for line in lines[1:])
+
+
+def test_newton_check_rejects_count_below_one():
+    for count in ("0", "-1"):
+        code, text = run_command(
+            ["oracle", "newton-check", "--p", "2", "--count", count]
+        )
+        assert code == 2
+        assert text == (
+            f"error: UnsupportedInput: --count must be at least 1, got {count}"
+        )
+
+
+def test_every_package_error_exits_2(monkeypatch):
+    def fail(args):
+        raise InternalInexactDivision("coefficient 3 not divisible by 2")
+
+    monkeypatch.setattr(cli, "_cmd_witt_add", fail)
+    code, text = run_command(["witt", "add", "--p", "2", "[t]", "[t]"])
+    assert code == 2
+    assert text == (
+        "error: InternalInexactDivision: coefficient 3 not divisible by 2"
+    )
 
 
 def test_seed_flag_is_deterministic():
@@ -299,3 +618,19 @@ def test_main_error_path(capsys):
     code = main(["ram", "analyze", "--p", "2", "t^"])
     assert code == 3
     assert capsys.readouterr().out.startswith("error: ParseError")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittram", "witt", "add", "--p", "2",
+         "[t; 0]", "[t; 0]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "[0; t^2]\n"
+    assert proc.stderr == ""

@@ -143,6 +143,17 @@ def test_witt_reduce_reconstruction():
         res = witt_reduce(eta)
         recon = witt_add(res.reduced, artin_schreier_map(res.witness))
         assert recon == eta
+    # the same loop runs over every component, at any length
+    for m, draws in ((1, 12), (3, 4)):
+        for i in range(draws):
+            spec = ALL_SPECS[i % 4]
+            eta = WittVector(spec.p, m, [
+                sampling.random_classify_input(rng, spec) for _ in range(m)
+            ])
+            res = witt_reduce(eta)
+            assert len(res.kinds) == len(res.constants) == m
+            recon = witt_add(res.reduced, artin_schreier_map(res.witness))
+            assert recon == eta
 
 
 def test_classify_len2_totally_ramified():
