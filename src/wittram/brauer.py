@@ -20,14 +20,12 @@ Rules:
 import dataclasses
 import math
 
-from . import coeff
 from .errors import (
     HypothesisViolation,
     NoRootError,
     RuleViolation,
     ShapeMismatch,
     SpecMismatch,
-    UnsupportedInput,
 )
 from .valued import LaurentElem, frobenius_power, nth_root, pth_root
 from .witt import (
@@ -470,7 +468,7 @@ def _iterated_pth_root(b, times):
 
 def _split_steps_m1(sym):
     """Split certificate steps for a length-1 symbol, or None."""
-    from .extension import as_reduce
+    from .extension import as_reduce, decide_constant
 
     p = sym.p
     omega = sym.omega.components[0]
@@ -484,10 +482,7 @@ def _split_steps_m1(sym):
     if red.kind == "zero":
         return [as_coboundary_split(sym, _vector(p, (red.witness,)))]
     if red.kind == "constant":
-        try:
-            w = coeff.in_AS_image(red.constant)
-        except UnsupportedInput:
-            w = None
+        _, w = decide_constant(red.constant)
         if w is not None:
             g = red.witness + LaurentElem.from_residue(
                 w, max(red.element.precision, 1)

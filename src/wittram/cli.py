@@ -6,6 +6,9 @@ command with the keys {config, inputs, trace, verdict, evidence}.
 
 Exit codes: 0 success, 2 violated or unverifiable hypotheses and other
 domain errors, 3 parse errors, 4 precision exhausted.
+
+Work is bounded: --precision above MAX_PRECISION and newton-check's
+--count above MAX_COUNT exit 2 with LimitExceeded.
 """
 
 import argparse
@@ -21,6 +24,7 @@ from .brauer import (
 )
 from .coeff import FieldKind, FieldSpec, ResidueElem
 from .errors import (
+    LimitExceeded,
     ParseError,
     PrecisionExhausted,
     ShapeMismatch,
@@ -53,6 +57,12 @@ from .valued import DEFAULT_PRECISION, LaurentElem
 from .witt import WittVector, _check_caps, ghost_polys, sum_polys, witt_neg
 from . import sampling
 
+# Series inverses and norms are quadratic in the precision window, and each
+# newton-check draw is classified twice; see README for the measured cost
+# at each cap.
+MAX_PRECISION = 1024
+MAX_COUNT = 1000
+
 _VERDICT_NAMES = {
     "split": "Split",
     "unramified": "Unramified",
@@ -77,6 +87,10 @@ def _base_spec(args):
     if args.format not in ("text", "structured"):
         raise UnsupportedInput(f"unknown format {args.format!r}")
     _check_caps(args.p, 1)
+    if args.precision > MAX_PRECISION:
+        raise LimitExceeded(
+            f"--precision is at most {MAX_PRECISION}, got {args.precision}"
+        )
     kind = FieldKind.PRIME if args.residue == "fp" else FieldKind.RATIONAL
     return FieldSpec(args.p, kind)
 
@@ -464,6 +478,8 @@ def _cmd_oracle_newton_check(args):
     m = _resolve_m(args, 1)
     if args.count < 1:
         raise UnsupportedInput(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_COUNT:
+        raise LimitExceeded(f"--count is at most {MAX_COUNT}, got {args.count}")
     rng = sampling.make_rng(args.seed)
     agree = 0
     mismatches = []
@@ -509,7 +525,7 @@ def _build_parser():
     common.add_argument("--residue", choices=("fp", "fp-u"), default="fp",
                         help="residue field: the prime field or F_p(u)")
     common.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                        help="default series precision")
+                        help=f"default series precision (at most {MAX_PRECISION})")
     common.add_argument("--format", choices=("text", "structured"),
                         default="text", help="output mode")
 
@@ -565,7 +581,8 @@ def _build_parser():
     o_gc = osub.add_parser("ghost-check", parents=[common])
     o_gc.set_defaults(handler=_cmd_oracle_ghost_check)
     o_nc = osub.add_parser("newton-check", parents=[common])
-    o_nc.add_argument("--count", type=int, default=100)
+    o_nc.add_argument("--count", type=int, default=100,
+                      help=f"number of random inputs (1 to {MAX_COUNT})")
     o_nc.add_argument("--seed", type=int, default=0)
     o_nc.set_defaults(handler=_cmd_oracle_newton_check)
 

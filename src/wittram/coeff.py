@@ -247,7 +247,7 @@ class ResidueElem:
     def _check(self, other):
         if not isinstance(other, ResidueElem):
             raise TypeError(f"cannot combine ResidueElem with {type(other).__name__}")
-        if other.spec != self.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatch(f"{self.spec!r} vs {other.spec!r}")
 
     # -- ring structure --------------------------------------------------------
@@ -257,6 +257,10 @@ class ResidueElem:
         p = self.spec.p
         na, da = self.num, self.den
         nb, db = other.num, other.den
+        if self.spec.kind is FieldKind.PRIME:
+            # prime-field values are constants: num is () or (c,), den (1,)
+            c = ((na[0] if na else 0) + (nb[0] if nb else 0)) % p
+            return ResidueElem._raw(self.spec, (c,) if c else (), (1,))
         if da == (1,) and db == (1,):
             return ResidueElem._raw(self.spec, _padd(na, nb, p), (1,))
         g = _pgcd(da, db, p)
@@ -288,6 +292,9 @@ class ResidueElem:
         nb, db = other.num, other.den
         if not na or not nb:
             return ResidueElem._raw(self.spec, (), (1,))
+        if self.spec.kind is FieldKind.PRIME:
+            c = (na[0] * nb[0]) % p
+            return ResidueElem._raw(self.spec, (c,) if c else (), (1,))
         if da == (1,) and db == (1,):
             return ResidueElem._raw(self.spec, _pmul(na, nb, p), (1,))
         g1 = _pgcd(na, db, p)

@@ -209,6 +209,17 @@ def _single_verdict(p, kind, const, element):
     return Classification.UNCLASSIFIED, {"reason": f"component reduction: {kind}"}
 
 
+def decide_constant(const):
+    """The constant step of a reduction: is the residue constant of the
+    form w^p - w?  Returns (True, w) when it is, (True, None) when it is
+    not, and (False, None) when that is undecided here (over F_p(u), for
+    a constant that is not a polynomial)."""
+    try:
+        return True, coeff.in_AS_image(const)
+    except UnsupportedInput:
+        return False, None
+
+
 def classify_deg_p(omega):
     """Classify K(x)/K for x^p - x = omega: split, unramified, totally
     ramified, or unclassified when reduction stalls."""
@@ -217,9 +228,8 @@ def classify_deg_p(omega):
     trace = red.steps
     constant_witness = {}
     if kind == "constant":
-        try:
-            g = coeff.in_AS_image(const)
-        except UnsupportedInput:
+        decided, g = decide_constant(const)
+        if not decided:
             return RamReport(
                 Classification.UNCLASSIFIED,
                 trace + ({"op": "constant_undecided", "constant": str(const)},),
@@ -286,9 +296,8 @@ def witt_reduce(eta):
             move, g = _next_move(comp)
             const = g if move == "constant" else None
             if move == "constant":
-                try:
-                    w = coeff.in_AS_image(const)
-                except UnsupportedInput:
+                decided, w = decide_constant(const)
+                if not decided:
                     steps.append({"op": "constant_undecided", "component": idx})
                     move = "constant_undecided"
                     break

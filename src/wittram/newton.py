@@ -11,7 +11,7 @@ between the two paths is meaningful evidence.
 import itertools
 from fractions import Fraction
 
-from .coeff import FieldKind, ResidueElem, _pdeg, _ppow, _psub, _ptrim
+from .coeff import FieldKind, ResidueElem
 from .errors import PrecisionExhausted, ShapeMismatch
 from .valued import LaurentElem
 
@@ -19,6 +19,40 @@ SPLIT = "split"
 UNRAMIFIED = "unramified"
 TOTALLY_RAMIFIED = "totally_ramified"
 UNCLASSIFIED = "unclassified"
+
+
+# Coefficient tuples over F_p, lowest degree first.  These are this
+# module's own, so that a fault in coeff's polynomial arithmetic cannot
+# hide behind the same fault here.
+
+def _ptrim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _pdeg(cs):
+    return len(cs) - 1
+
+
+def _psub(a, b, p):
+    n = max(len(a), len(b))
+    a = tuple(a) + (0,) * (n - len(a))
+    b = tuple(b) + (0,) * (n - len(b))
+    return _ptrim((x - y) % p for x, y in zip(a, b))
+
+
+def _ppow(a, e, p):
+    """a^e by e schoolbook products."""
+    out = (1,)
+    for _ in range(e):
+        prod = [0] * (len(out) + len(a) - 1) if a else []
+        for i, x in enumerate(out):
+            for j, y in enumerate(a):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        out = _ptrim(prod)
+    return out
 
 
 def lower_hull(points):

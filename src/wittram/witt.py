@@ -4,8 +4,8 @@ The universal layer works over Z: ghost polynomials w_n, the addition
 law S_n, and the negation law N_n are exact integer polynomials obtained
 by the standard recursion with exact division by p^n.  The vector layer
 evaluates those polynomials on components drawn from any coefficient
-ring here (residue elements or Laurent series); the integer coefficients
-are reduced mod p at evaluation time.
+ring here (residue elements or Laurent series); each law's integer
+coefficients are reduced mod p once, when the law is first used.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -20,6 +20,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
+from .valued import DEFAULT_PRECISION, LaurentElem, frobenius_power
 
 _MAX_M = 4
 _MAX_P = 5
@@ -284,17 +285,118 @@ class WittVector:
         return f"WittVector({self!s})"
 
 
+class _LawModP:
+    """A law's Z-polynomials, with each monomial kept as (factors, c):
+    factors lists its (variable, exponent) pairs with exponent > 0 in
+    variable order, c is its coefficient reduced mod p, and the monomials
+    keep the Z-polynomials' order."""
+
+    __slots__ = ("polys", "monomials", "degree")
+
+    def __init__(self, polys, p):
+        self.polys = polys
+        self.monomials = tuple(
+            tuple(
+                (tuple((i, e) for i, e in enumerate(mono) if e), c % p)
+                for mono, c in poly.terms.items()
+            )
+            for poly in polys
+        )
+        self.degree = max(
+            (sum(mono) for poly in polys for mono in poly.terms), default=0
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _sum_law(p, m):
+    return _LawModP(sum_polys(p, m), p)
+
+
+@functools.lru_cache(maxsize=None)
+def _neg_law(p, m):
+    return _LawModP(neg_polys(p, m), p)
+
+
+def _power(powers, args, f):
+    x = powers.get(f)
+    if x is None:
+        x = powers[f] = args[f[0]] ** f[1]
+    return x
+
+
+def _skipped_precision(factors, powers, args):
+    """The precision the product of a skipped monomial would have had.
+    Valuation lower bounds add under products, each of which keeps
+    valued's min(va + Nb, vb + Na)."""
+    if not factors:
+        return args[0].ring_one().precision
+    x = _power(powers, args, factors[0])
+    v, n = x.val_lower_bound(), x.precision
+    for f in factors[1:]:
+        x = _power(powers, args, f)
+        vx, nx = x.val_lower_bound(), x.precision
+        v, n = v + vx, min(v + nx, vx + n)
+    return n
+
+
+def _eval_law(law, args):
+    """The law's components at args, equal term for term and in precision
+    to IntPoly.evaluate on each of its Z-polynomials.
+
+    Each args[i] ** e is computed once per call.  A monomial whose
+    coefficient is 0 mod p adds nothing and is not multiplied out, but
+    for series its product would still have cut the precision of the
+    sum, so the sum is truncated to the precision that product would
+    have had.  Series reaching below t^(-p^2 * DEFAULT_PRECISION) could
+    trip valued's exponent limit inside a skipped product, so they take
+    the Z-polynomials as they are and raise exactly where they always did.
+    """
+    first = args[0]
+    series = isinstance(first, LaurentElem)
+    if series:
+        p = first.spec.p
+        low = min((min(x.terms) for x in args if x.terms), default=0)
+        if low * law.degree < -p * p * DEFAULT_PRECISION:
+            return [poly.evaluate(args) for poly in law.polys]
+    powers = {}
+    out = []
+    for monomials in law.monomials:
+        acc = None
+        cut = None
+        for factors, c in monomials:
+            if c == 0:
+                if series:
+                    n = _skipped_precision(factors, powers, args)
+                    cut = n if cut is None else min(cut, n)
+                continue
+            term = None
+            for f in factors:
+                x = _power(powers, args, f)
+                term = x if term is None else term * x
+            if term is None:
+                term = first.ring_one()
+            if c != 1:
+                term = term.scale_int(c)
+            acc = term if acc is None else acc + term
+        if acc is None and cut is not None:
+            acc = LaurentElem.zero(first.spec, cut)
+        elif acc is None:
+            acc = first.scale_int(0)
+        elif cut is not None and cut < acc.precision:
+            acc = acc.truncated(cut)
+        out.append(acc)
+    return out
+
+
 def witt_add(a, b):
     """Componentwise evaluation of the universal addition law."""
     a._check(b)
-    polys = sum_polys(a.p, a.m)
-    args = a.components + b.components
-    return WittVector(a.p, a.m, [s.evaluate(args) for s in polys])
+    law = _sum_law(a.p, a.m)
+    return WittVector(a.p, a.m, _eval_law(law, a.components + b.components))
 
 
 def witt_neg(a):
-    polys = neg_polys(a.p, a.m)
-    return WittVector(a.p, a.m, [s.evaluate(a.components) for s in polys])
+    return WittVector(a.p, a.m, _eval_law(_neg_law(a.p, a.m), a.components))
 
 
 def witt_sub(a, b):
@@ -304,8 +406,6 @@ def witt_sub(a, b):
 def _component_frobenius(c, r):
     # Laurent components grow precision under the Frobenius; residue
     # components are plain powers.
-    from .valued import LaurentElem, frobenius_power
-
     if isinstance(c, LaurentElem):
         return frobenius_power(c, r)
     return c ** (c.spec.p ** r)
@@ -341,8 +441,6 @@ def lemma54_closed_form(p, c, omega2, b):
     which must agree with the universal addition law; the suite checks
     that identity on random inputs.
     """
-    from .valued import frobenius_power
-
     cp = frobenius_power(c, 1)
     first = cp + b
     second = omega2

@@ -504,6 +504,34 @@ def test_newton_check_rejects_count_below_one():
         )
 
 
+def test_precision_cap_exits_2():
+    code, text = run_command(
+        ["ram", "analyze", "--p", "2", "--precision", str(cli.MAX_PRECISION), "t^-1"]
+    )
+    assert code == 0
+    over = str(cli.MAX_PRECISION + 1)
+    for argv in STRUCTURED_COMMANDS:
+        code, text = run_command(argv + ["--precision", over])
+        assert code == 2, argv
+        assert text == (
+            f"error: LimitExceeded: --precision is at most {cli.MAX_PRECISION}, "
+            f"got {over}"
+        ), argv
+
+
+def test_count_cap_exits_2(monkeypatch):
+    over = str(cli.MAX_COUNT + 1)
+    code, text = run_command(["oracle", "newton-check", "--p", "2", "--count", over])
+    assert code == 2
+    assert text == (
+        f"error: LimitExceeded: --count is at most {cli.MAX_COUNT}, got {over}"
+    )
+    monkeypatch.setattr(cli, "MAX_COUNT", 5)
+    argv = ["oracle", "newton-check", "--p", "2", "--seed", "7", "--count"]
+    assert run_command(argv + ["5"]) == (0, "verdict: agreement 5/5")
+    assert run_command(argv + ["6"])[0] == 2
+
+
 def test_every_package_error_exits_2(monkeypatch):
     def fail(args):
         raise InternalInexactDivision("coefficient 3 not divisible by 2")

@@ -13,7 +13,7 @@ from wittram.coeff import (
     nth_root,
     pth_root,
 )
-from wittram.errors import DivisionByZero, UnsupportedInput
+from wittram.errors import DivisionByZero, SpecMismatch, UnsupportedInput
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U
 from oracles import brute_as_witness, brute_pth_root
@@ -147,3 +147,41 @@ def test_disjoint_classes_sweep():
                     continue
                 combo = c1.scale_int(i) + c2.scale_int(j)
                 assert in_AS_image(combo) is None
+
+
+def _assert_is_int(got, spec, want):
+    """got is the canonical element of spec for the integer want."""
+    want %= spec.p
+    assert got.spec == spec
+    assert (got.num, got.den) == (((want,) if want else ()), (1,))
+    assert got == spec.from_int(want)
+    assert hash(got) == hash(spec.from_int(want))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_prime_field_agrees_with_int_arithmetic(p):
+    spec = FieldSpec(p)
+    twin = FieldSpec(p)  # equal to spec but a distinct object: must combine
+    for x in range(p):
+        a = spec.from_int(x)
+        _assert_is_int(-a, spec, -x)
+        for k in range(-p, p + 1):
+            _assert_is_int(a.scale_int(k), spec, k * x)
+        for e in range(0 if x == 0 else -p, p + 2):
+            _assert_is_int(a ** e, spec, pow(x, e, p))
+        if x:
+            _assert_is_int(a.inverse(), spec, pow(x, -1, p))
+        for y in range(p):
+            b = twin.from_int(y)
+            _assert_is_int(a + b, spec, x + y)
+            _assert_is_int(a - b, spec, x - y)
+            _assert_is_int(a * b, spec, x * y)
+            if y:
+                _assert_is_int(a / b, spec, x * pow(y, -1, p))
+
+
+def test_mixed_specs_still_raise():
+    for a, b in ((F3.one(), F3U.one()), (F2.one(), F3.one()), (F2U.u(), F3U.u())):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
+            with pytest.raises(SpecMismatch):
+                op()

@@ -1,5 +1,6 @@
 """Degree-p and degree-p^2 extensions: reduction, classification, norms."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,17 @@ def test_classify_deg_p_matches_newton_oracle():
         assert mismatches == []
         if spec.kind.name == "PRIME":
             assert unclassified == 0
+
+
+def test_newton_oracle_binds_no_coeff_function():
+    # the oracle's polynomial arithmetic must not be coeff's own code
+    from wittram import newton
+
+    borrowed = [
+        name for name, value in vars(newton).items()
+        if inspect.isfunction(value) and value.__module__ == "wittram.coeff"
+    ]
+    assert borrowed == []
 
 
 # -- witt_reduce and classify_len2 -------------------------------------------

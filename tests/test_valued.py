@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from wittram.coeff import FieldKind
-from wittram.errors import LimitExceeded, PrecisionExhausted
+from wittram.coeff import FieldKind, FieldSpec
+from wittram.errors import LimitExceeded, PrecisionExhausted, SpecMismatch
 from wittram.valued import (
     DEFAULT_PRECISION,
     LaurentElem,
@@ -113,6 +113,21 @@ def test_from_residue():
     assert a.val() == 0
     assert a.residue_at(0) == c
     assert a.precision == DEFAULT_PRECISION
+
+
+def test_specs_combine_by_value():
+    twin = FieldSpec(3)  # equal to F3 but a distinct object
+    a = L("t^-1 + 2*t", F3)
+    b = L("2*t^-1 + t^2", twin)
+    assert a + b == L("2*t + t^2", F3)
+    assert a * b == L("2*t^-2 + 1 + t + 2*t^3", F3)
+    assert LaurentElem(F3, {0: twin.one()}) == LaurentElem.one(F3)
+    for other in (L("t", F3U), L("t", F2)):
+        for op in (lambda: a + other, lambda: a * other):
+            with pytest.raises(SpecMismatch):
+                op()
+    with pytest.raises(SpecMismatch):
+        LaurentElem(F3, {0: F3U.one()})
 
 
 def test_size_guard():

@@ -1,9 +1,13 @@
 """Truncated Witt vectors: universal polynomials and the group law."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from wittram.coeff import FieldKind, FieldSpec
 from wittram.errors import LimitExceeded, ShapeMismatch
 from wittram.valued import DEFAULT_PRECISION, LaurentElem
 from wittram.witt import (
@@ -182,3 +186,101 @@ def test_lemma54_closed_form_matches_group_law(cs, ws, bs, which):
         WittVector(p, 2, (b, b.scale_int(0))),
     )
     assert lhs == rhs
+
+
+# -- the group law against IntPoly.evaluate on the Z-polynomials -------------
+
+def _reference_add(a, b):
+    args = a.components + b.components
+    return WittVector(a.p, a.m, [s.evaluate(args) for s in sum_polys(a.p, a.m)])
+
+
+def _reference_neg(a):
+    polys = neg_polys(a.p, a.m)
+    return WittVector(a.p, a.m, [s.evaluate(a.components) for s in polys])
+
+
+def _reference_as_map(a):
+    return _reference_add(frobenius_twist(a, 1), _reference_neg(a))
+
+
+def _assert_same(got, want):
+    """Equal term for term and, for series, in precision."""
+    for x, y in zip(got.components, want.components, strict=True):
+        if isinstance(y, LaurentElem):
+            assert (x.terms, x.precision) == (y.terms, y.precision)
+        else:
+            assert (x.num, x.den) == (y.num, y.den)
+
+
+def _random_component(rng, spec):
+    """1 to 3 terms with exponents in [-3, 6], or an apparent zero, known
+    to a precision between 8 and 100."""
+    precision = rng.randrange(8, 101)
+    if rng.random() < 0.2:
+        return LaurentElem.zero(spec, precision)
+    terms = {}
+    for _ in range(rng.randrange(1, 4)):
+        if spec.kind is FieldKind.PRIME:
+            c = spec.from_int(rng.randrange(1, spec.p))
+        else:
+            c = spec.element([rng.randrange(spec.p) for _ in range(2)] + [1])
+        terms[rng.randrange(-3, 7)] = c
+    return LaurentElem(spec, terms, precision)
+
+
+# (p, m, draws); both residue kinds at m <= 2
+_LAW_SHAPES = (
+    (2, 1, 10), (2, 2, 10), (2, 3, 10), (2, 4, 8),
+    (3, 1, 10), (3, 2, 10), (3, 3, 8),
+    (5, 1, 10), (5, 2, 10), (5, 3, 4),
+)
+
+
+def _check_law_parity(a, b):
+    _assert_same(witt_add(a, b), _reference_add(a, b))
+    _assert_same(witt_neg(a), _reference_neg(a))
+    _assert_same(artin_schreier_map(a), _reference_as_map(a))
+
+
+@pytest.mark.parametrize("p,m,draws", _LAW_SHAPES)
+def test_group_law_matches_z_polynomials(p, m, draws):
+    rng = random.Random(1000 * p + m)
+    kinds = (FieldKind.PRIME, FieldKind.RATIONAL) if m <= 2 else (FieldKind.PRIME,)
+    for kind in kinds:
+        spec = FieldSpec(p, kind)
+        for _ in range(draws):
+            a, b = (
+                WittVector(p, m, [_random_component(rng, spec) for _ in range(m)])
+                for _ in range(2)
+            )
+            _check_law_parity(a, b)
+
+
+def test_group_law_keeps_precision_of_monomials_zero_mod_p():
+    # In N_3 at p = 2 the monomials that vanish mod 2 hold the last
+    # component to O(t^-4); the others alone would give O(t^0).
+    a = W("[t^-3 + t + O(t^62); t^-2 + t^2 + t^3 + O(t^14); "
+          "t^-2 + t^-1 + t + O(t^41); t^3 + O(t^83)]", F2)
+    assert witt_neg(a).components[3].precision == -4
+    _check_law_parity(a, a)
+
+
+def test_group_law_on_residue_components():
+    for spec in (FieldSpec(3), FieldSpec(3, FieldKind.RATIONAL)):
+        u = spec.u() if spec.kind is FieldKind.RATIONAL else spec.from_int(2)
+        a = WittVector(3, 3, (u, u * u + spec.one(), spec.zero()))
+        b = WittVector(3, 3, (spec.one(), u, u.inverse()))
+        _assert_same(witt_add(a, b), _reference_add(a, b))
+        _assert_same(witt_neg(a), _reference_neg(a))
+
+
+def test_group_law_past_the_exponent_limit_raises_as_before():
+    # t^-40 to the 8th power leaves valued's desk-scale exponent range
+    a = W("[t^-40 + O(t^280); t; t; 1]", F2)
+    for got, want in ((lambda: witt_add(a, a), lambda: _reference_add(a, a)),
+                      (lambda: witt_neg(a), lambda: _reference_neg(a))):
+        with pytest.raises(LimitExceeded) as expected:
+            want()
+        with pytest.raises(LimitExceeded, match=re.escape(str(expected.value))):
+            got()
