@@ -352,7 +352,7 @@ def _eval_law(law, args):
     the Z-polynomials as they are and raise exactly where they always did.
     """
     first = args[0]
-    series = isinstance(first, LaurentElem)
+    series = all(isinstance(x, LaurentElem) for x in args)
     if series:
         p = first.spec.p
         low = min((min(x.terms) for x in args if x.terms), default=0)

@@ -25,7 +25,7 @@ from wittram.witt import (
     witt_sub,
 )
 
-from conftest import ALL_SPECS, F2, L, W
+from conftest import ALL_SPECS, F2, F3, L, W
 
 
 def _ghost_identity_holds(p, m):
@@ -273,6 +273,20 @@ def test_group_law_on_residue_components():
         b = WittVector(3, 3, (spec.one(), u, u.inverse()))
         _assert_same(witt_add(a, b), _reference_add(a, b))
         _assert_same(witt_neg(a), _reference_neg(a))
+
+
+def test_group_law_on_mixed_operands_raises_as_before():
+    f3u = FieldSpec(3, FieldKind.RATIONAL)
+    series = W("[t^-1; 1]", F3)
+    others = (
+        WittVector(3, 2, (F3.one(), F3.from_int(2))),
+        WittVector(3, 2, (LaurentElem.t_power(f3u, -1),) * 2),
+    )
+    for a, b in [(series, x) for x in others] + [(x, series) for x in others]:
+        with pytest.raises(Exception) as expected:
+            _reference_add(a, b)
+        with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+            witt_add(a, b)
 
 
 def test_group_law_past_the_exponent_limit_raises_as_before():
