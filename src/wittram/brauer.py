@@ -286,6 +286,17 @@ def absorb_split(sym):
     return TraceStep("absorb", (sym,), SPLIT)
 
 
+def add_absorbed(sym):
+    """sym + [(b, 0, ..., 0), b), the same class as sym since the added
+    symbol splits.  Returns the sum and its absorb and same_b steps."""
+    b = sym.b
+    zero = _zero_like(b)
+    trivial = BrauerSymbol(_vector(sym.p, (b,) + (zero,) * (sym.m - 1)), b)
+    absorb = absorb_split(trivial)
+    out, step = same_b_add(sym, trivial)
+    return out, (absorb, step)
+
+
 def pth_power_b_split(sym, gamma):
     return TraceStep("pth_power_b", (sym,), SPLIT, {"gamma": gamma})
 
@@ -364,8 +375,9 @@ def _lemma53_core(r, i, c, b):
 def lemma53_split(r, i, c, b):
     """Certified split of [(0, r * c^(p*i) * b^(p-i)), b), length 2.
 
-    Returns a RewriteOutcome whose symbol is the length-2 input and
-    whose trace begins by stripping the zero component.
+    Returns a RewriteOutcome whose symbol is SPLIT and whose trace
+    splits the length-2 input: it begins by stripping the zero
+    component, or is one as_coboundary step when the input is zero.
     """
     inner, core = _lemma53_core(r, i, c, b)
     zero = _zero_like(b)
@@ -395,19 +407,13 @@ def lemma54_rewrite(sym):
     p = sym.p
     b = sym.b
     zero = _zero_like(b)
-    steps = []
-    trivial = BrauerSymbol(_vector(p, (b, zero)), b)
-    steps.append(absorb_split(trivial))
-    mixed, step = same_b_add(sym, trivial)
-    steps.append(step)
-    # mixed = [(omega1 + b, omega2 - sum_i r_i c^(p i) b^(p-i)), b);
+    # acc = [(omega1 + b, omega2 - sum_i r_i c^(p i) b^(p-i)), b);
     # add back each cross term with its split certificate
-    acc = mixed
+    acc, absorbed = add_absorbed(sym)
+    steps = list(absorbed)
     cp = frobenius_power(c, 1)
     for i in range(1, p):
         coef = _cross_coeff(p, i) % p
-        if coef == 0:
-            continue
         piece = lemma53_split(coef, i, c, b)
         steps.extend(piece.trace.steps)
         cross = ((cp ** i) * (b ** (p - i))).scale_int(coef)

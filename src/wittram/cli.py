@@ -7,8 +7,9 @@ command with the keys {config, inputs, trace, verdict, evidence}.
 Exit codes: 0 success, 2 violated or unverifiable hypotheses and other
 domain errors, 3 parse errors, 4 precision exhausted.
 
-Work is bounded: --precision above MAX_PRECISION and newton-check's
---count above MAX_COUNT exit 2 with LimitExceeded.
+Work is bounded: --precision above MAX_PRECISION, a literal whose
+O(t^N) is above it, and newton-check's --count above MAX_COUNT exit 2
+with LimitExceeded.
 """
 
 import argparse
@@ -93,6 +94,25 @@ def _base_spec(args):
         )
     kind = FieldKind.PRIME if args.residue == "fp" else FieldKind.RATIONAL
     return FieldSpec(args.p, kind)
+
+
+def _bounded(*values):
+    """Hold parsed literals to --precision's bound: a series, vector
+    component or symbol slot written with O(t^N), N > MAX_PRECISION,
+    raises LimitExceeded."""
+    for value in values:
+        if isinstance(value, BrauerSymbol):
+            series = value.omega.components + (value.b,)
+        elif isinstance(value, WittVector):
+            series = value.components
+        else:
+            series = (value,)
+        for x in series:
+            if x.precision > MAX_PRECISION:
+                raise LimitExceeded(
+                    f"a literal's precision is at most {MAX_PRECISION}, "
+                    f"got O(t^{x.precision})"
+                )
 
 
 def _resolve_m(args, inferred):
@@ -201,6 +221,7 @@ def _cmd_witt_add(args):
     spec = _base_spec(args)
     a = parse_witt(args.a, spec, args.precision)
     b = parse_witt(args.b, spec, args.precision)
+    _bounded(a, b)
     if a.m != b.m:
         raise ShapeMismatch(f"lengths differ: {a.m} vs {b.m}")
     m = _resolve_m(args, a.m)
@@ -217,6 +238,7 @@ def _cmd_witt_add(args):
 def _cmd_witt_neg(args):
     spec = _base_spec(args)
     a = parse_witt(args.a, spec, args.precision)
+    _bounded(a)
     m = _resolve_m(args, a.m)
     out = witt_neg(a)
     rendered = render_witt(out, args.precision)
@@ -231,6 +253,7 @@ def _cmd_witt_neg(args):
 def _cmd_ram_analyze(args):
     spec = _base_spec(args)
     el = parse_element(args.element, spec, args.precision)
+    _bounded(el)
     if isinstance(el, BrauerSymbol):
         raise ShapeMismatch("analyze takes a series or a vector, not a symbol")
     if isinstance(el, WittVector):
@@ -255,6 +278,7 @@ def _cmd_ram_analyze(args):
 def _cmd_symbol_normalize(args):
     spec = _base_spec(args)
     sym = parse_symbol(args.symbol, spec, args.precision)
+    _bounded(sym)
     m = _resolve_m(args, sym.m)
     out = normalize_symbol(sym)
     rendered = render_symbol(out.symbol, args.precision)
@@ -275,6 +299,7 @@ def _cmd_symbol_normalize(args):
 def _cmd_symbol_rewrite(args):
     spec = _base_spec(args)
     sym = parse_symbol(args.symbol, spec, args.precision)
+    _bounded(sym)
     m = _resolve_m(args, sym.m)
     if m != 2:
         raise UnsupportedCase("the rewrite is stated for length-2 vectors")
@@ -299,6 +324,7 @@ def _cmd_thm_cyclic_to_insep(args):
     spec = _base_spec(args)
     omega = parse_witt(args.omega, spec, args.precision)
     b = parse_laurent(args.b, spec, args.precision)
+    _bounded(omega, b)
     m = _resolve_m(args, omega.m)
     witness = cyclic_to_insep(omega, b)
     witness.verify()
@@ -349,6 +375,7 @@ def _construction_report(args, sym, construction):
 def _cmd_thm_insep_to_cyclic(args):
     spec = _base_spec(args)
     sym = parse_symbol(args.symbol, spec, args.precision)
+    _bounded(sym)
     m = _resolve_m(args, sym.m)
     if m == 1:
         construction = insep_to_cyclic_p(sym)
@@ -363,6 +390,7 @@ def _cmd_thm_insep_to_cyclic(args):
 def _cmd_thm_perfect(args):
     spec = _base_spec(args)
     sym = parse_symbol(args.symbol, spec, args.precision)
+    _bounded(sym)
     _resolve_m(args, sym.m)
     construction = insep_to_cyclic_perfect(sym)
     construction.trace.validate()
@@ -377,6 +405,7 @@ def _cmd_thm_disjoint_pair(args):
     b_text = "t"
     if args.b is not None:
         b = parse_laurent(args.b, spec, args.precision)
+        _bounded(b)
         b_text = render_laurent(b, args.precision)
     pair = build_disjoint_division_pair(spec, b, m)
     classes = [render_residue(a) for a in pair.classes]
@@ -418,6 +447,7 @@ def _cmd_thm_roundtrip(args):
     spec = _base_spec(args)
     omega = parse_witt(args.omega, spec, args.precision)
     b = parse_laurent(args.b, spec, args.precision)
+    _bounded(omega, b)
     m = _resolve_m(args, omega.m)
     report = conjecture_roundtrip(omega, b)
     lines = []

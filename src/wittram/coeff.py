@@ -67,7 +67,7 @@ def _ppow(a, e, p):
     while e:
         if e & 1:
             out = _pmul(out, base, p)
-        base = _pmul(base, base, p)
+        base = _pmul(base, base, p) if e > 1 else base
         e >>= 1
     return out
 

@@ -22,8 +22,8 @@ from .errors import (
     UnsupportedCase,
     UnsupportedInput,
 )
-from .valued import LaurentElem, frobenius_power
-from .witt import WittVector, artin_schreier_map, sum_polys, witt_add, witt_sub
+from .valued import LaurentElem, binary_power, frobenius_power
+from .witt import WittVector, _cross_coeff, artin_schreier_map, witt_add, witt_sub
 
 
 class Classification(enum.Enum):
@@ -439,40 +439,13 @@ def classify_len2(eta):
 def _second_relation_coeffs(p, omega1, omega2):
     """Coefficients R[0..p-1] with x2^p = x2 + sum_i R[i] x1^i.
 
-    Read off the universal addition law: the second ghost equation for
-    (x1^p, x2^p) = (x1, x2) + (omega1, omega2) gives x2^p in terms of
-    x2, omega2, and cross terms x1^i omega1^(p-i).
+    (x1^p, x2^p) = (x1, x2) + (omega1, omega2), and the second component
+    of that Witt sum is x2 + omega2 - sum_i ((p-1)!/(i!(p-i)!)) x1^i
+    omega1^(p-i), so R[0] = omega2 and R[i] is the i-th cross term.
     """
-    s1 = sum_polys(p, 2)[1]
-    coeffs = {i: None for i in range(p)}
-    coeffs[0] = omega2
-    saw_x1 = False
-    saw_y1 = False
-    for mono, c in s1.terms.items():
-        e_x0, e_x1, e_y0, e_y1 = mono
-        if mono == (0, 1, 0, 0):
-            if c != 1:
-                raise SpecMismatch("unexpected addition-law shape")
-            saw_x1 = True
-            continue
-        if mono == (0, 0, 0, 1):
-            if c != 1:
-                raise SpecMismatch("unexpected addition-law shape")
-            saw_y1 = True
-            continue
-        if e_x1 or e_y1:
-            raise SpecMismatch("unexpected mixed term in the addition law")
-        if e_x0 + e_y0 != p or e_x0 < 1 or e_y0 < 1:
-            raise SpecMismatch("unexpected cross term in the addition law")
-        term = (omega1 ** e_y0).scale_int(c)
-        if coeffs[e_x0] is None:
-            coeffs[e_x0] = term
-        else:
-            coeffs[e_x0] = coeffs[e_x0] + term
-    if not (saw_x1 and saw_y1):
-        raise SpecMismatch("addition law is missing its linear terms")
-    zero = omega1.scale_int(0)
-    return tuple(zero if coeffs[i] is None else coeffs[i] for i in range(p))
+    return (omega2,) + tuple(
+        (omega1 ** (p - i)).scale_int(-_cross_coeff(p, i)) for i in range(1, p)
+    )
 
 
 class CyclicExtDesc:
@@ -612,14 +585,8 @@ class ExtensionElem:
     def __pow__(self, e):
         if e < 0:
             raise UnsupportedInput("negative powers are not implemented here")
-        out = self.desc.scalar(self.desc.omega1.ring_one())
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        one = self.desc.scalar(self.desc.omega1.ring_one())
+        return binary_power(self, e, one)
 
     def is_apparent_zero(self):
         return all(a.is_apparent_zero for a in self.coeffs.values())

@@ -23,11 +23,10 @@ from . import coeff
 from .brauer import (
     BrauerSymbol,
     RewriteTrace,
-    absorb_split,
+    add_absorbed,
     dominate_b,
     lemma54_rewrite,
     normalize_symbol,
-    same_b_add,
 )
 from .coeff import FieldKind
 from .errors import (
@@ -181,17 +180,12 @@ def insep_to_cyclic_p(sym):
     if sym.m != 1:
         raise ShapeMismatch("this construction expects a length-1 symbol")
     norm = normalize_symbol(sym)
-    cur = norm.symbol
-    b = cur.b
-    steps = list(norm.trace.steps)
-    trivial = BrauerSymbol(WittVector(sym.p, 1, (b,)), b)
-    steps.append(absorb_split(trivial))
-    result, step = same_b_add(cur, trivial)
-    steps.append(step)
+    result, absorbed = add_absorbed(norm.symbol)
+    steps = norm.trace.steps + absorbed
     report = classify_deg_p(result.omega.components[0])
     return CyclicConstruction(
         sym.p, 1, sym, result, result.omega, report,
-        RewriteTrace(tuple(steps)), "full",
+        RewriteTrace(steps), "full",
         "cyclic part x^p - x = omega1' + b' is totally ramified",
     )
 
@@ -227,14 +221,8 @@ def insep_to_cyclic_perfect(sym):
     if math.gcd(sym.b.val(), p) != 1:
         raise HypothesisViolation("v(b) must be coprime to p")
     cur, adjust = dominate_b(sym)
-    steps = list(adjust)
-    b = cur.b
-    zero = b.scale_int(0)
-    shift = WittVector(p, sym.m, (b,) + (zero,) * (sym.m - 1))
-    trivial = BrauerSymbol(shift, b)
-    steps.append(absorb_split(trivial))
-    result, step = same_b_add(cur, trivial)
-    steps.append(step)
+    result, absorbed = add_absorbed(cur)
+    steps = adjust + absorbed
     if sym.m <= 2:
         report = classify(result.omega)
         level = "full"
@@ -243,7 +231,7 @@ def insep_to_cyclic_perfect(sym):
         level = "first_component"
     return CyclicConstruction(
         p, sym.m, sym, result, result.omega, report,
-        RewriteTrace(tuple(steps)), level,
+        RewriteTrace(steps), level,
         "direct vector addition over the prime residue field",
     )
 

@@ -194,14 +194,7 @@ class LaurentElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.ring_one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return binary_power(self, e, self.ring_one())
 
     # -- comparison -------------------------------------------------------------
 
@@ -230,6 +223,22 @@ class LaurentElem:
 
     def __repr__(self):
         return f"LaurentElem({self!s})"
+
+
+def binary_power(x, e, one):
+    """x^e for e >= 0 by square-and-multiply, the product started at one.
+
+    The power loop of series, integer polynomials and extension elements.
+    A series power starts at ring_one(), known to max(N, DEFAULT_PRECISION),
+    so the result can report less precision than x^e determines.
+    """
+    out = one
+    while e:
+        if e & 1:
+            out = out * x
+        x = x * x if e > 1 else x
+        e >>= 1
+    return out
 
 
 def pth_power(a):

@@ -20,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
-from .valued import DEFAULT_PRECISION, LaurentElem, frobenius_power
+from .valued import DEFAULT_PRECISION, LaurentElem, binary_power, frobenius_power
 
 _MAX_M = 4
 _MAX_P = 5
@@ -84,14 +84,7 @@ class IntPoly:
         return IntPoly(self.nvars, terms)
 
     def __pow__(self, e):
-        out = IntPoly.constant(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return binary_power(self, e, self.ring_one())
 
     def scale_int(self, c):
         return IntPoly(self.nvars, {m: c * x for m, x in self.terms.items()})
@@ -123,7 +116,9 @@ class IntPoly:
         return IntPoly(new_nvars, terms)
 
     def evaluate(self, args):
-        """Evaluate on ring elements supporting +, **, scale_int, ring_one."""
+        """Evaluate on ring elements supporting +, **, scale_int, ring_one:
+        the reference for oracle ghost-check and the tests (the group law
+        at run time goes through _eval_law)."""
         if len(args) != self.nvars:
             raise ShapeMismatch("argument count differs from nvars")
         acc = None
@@ -190,39 +185,35 @@ def ghost_polys(p, m):
     return tuple(out)
 
 
+def _solve_ghost(p, rhs):
+    """The S_0..S_{m-1} with w_n(S) = rhs[n] for every n < m, solved
+    recursively with the division by p^n checked exact."""
+    out = []
+    for n, r in enumerate(rhs):
+        for i in range(n):
+            r = r - (out[i] ** (p ** (n - i))).scale_int(p ** i)
+        out.append(r.exact_div_int(p ** n))
+    return tuple(out)
+
+
 @functools.lru_cache(maxsize=None)
 def sum_polys(p, m):
-    """Addition law S_0..S_{m-1} in Z[X_0..X_{m-1}, Y_0..Y_{m-1}].
-
-    Defined by w_n(S_0..S_n) = w_n(X) + w_n(Y); solved recursively with
-    the division by p^n checked exact.
-    """
+    """Addition law S_0..S_{m-1} in Z[X_0..X_{m-1}, Y_0..Y_{m-1}],
+    defined by w_n(S) = w_n(X) + w_n(Y)."""
     _check_caps(p, m)
     nv = 2 * m
     ghosts = ghost_polys(p, m)
-    gx = [g.map_vars(list(range(m)), nv) for g in ghosts]
-    gy = [g.map_vars([m + i for i in range(m)], nv) for g in ghosts]
-    out = []
-    for n in range(m):
-        rhs = gx[n] + gy[n]
-        for i in range(n):
-            rhs = rhs - (out[i] ** (p ** (n - i))).scale_int(p ** i)
-        out.append(rhs.exact_div_int(p ** n))
-    return tuple(out)
+    return _solve_ghost(p, [
+        g.map_vars(list(range(m)), nv) + g.map_vars(list(range(m, nv)), nv)
+        for g in ghosts
+    ])
 
 
 @functools.lru_cache(maxsize=None)
 def neg_polys(p, m):
-    """Negation law N_0..N_{m-1}: w_n(N) = -w_n(X), solved like sum_polys."""
+    """Negation law N_0..N_{m-1}, defined by w_n(N) = -w_n(X)."""
     _check_caps(p, m)
-    ghosts = ghost_polys(p, m)
-    out = []
-    for n in range(m):
-        rhs = -ghosts[n]
-        for i in range(n):
-            rhs = rhs - (out[i] ** (p ** (n - i))).scale_int(p ** i)
-        out.append(rhs.exact_div_int(p ** n))
-    return tuple(out)
+    return _solve_ghost(p, [-g for g in ghost_polys(p, m)])
 
 
 class WittVector:
@@ -291,10 +282,9 @@ class _LawModP:
     variable order, c is its coefficient reduced mod p, and the monomials
     keep the Z-polynomials' order."""
 
-    __slots__ = ("polys", "monomials", "degree")
+    __slots__ = ("monomials", "degree")
 
     def __init__(self, polys, p):
-        self.polys = polys
         self.monomials = tuple(
             tuple(
                 (tuple((i, e) for i, e in enumerate(mono) if e), c % p)
@@ -348,23 +338,24 @@ def _eval_law(law, args):
     for series its product would still have cut the precision of the
     sum, so the sum is truncated to the precision that product would
     have had.  Series reaching below t^(-p^2 * DEFAULT_PRECISION) could
-    trip valued's exponent limit inside a skipped product, so they take
-    the Z-polynomials as they are and raise exactly where they always did.
+    trip valued's exponent limit inside a skipped product, so for them
+    those monomials are multiplied out too, and the law raises exactly
+    where IntPoly.evaluate does.
     """
     first = args[0]
     series = all(isinstance(x, LaurentElem) for x in args)
+    skip_zeros = True
     if series:
         p = first.spec.p
         low = min((min(x.terms) for x in args if x.terms), default=0)
-        if low * law.degree < -p * p * DEFAULT_PRECISION:
-            return [poly.evaluate(args) for poly in law.polys]
+        skip_zeros = low * law.degree >= -p * p * DEFAULT_PRECISION
     powers = {}
     out = []
     for monomials in law.monomials:
         acc = None
         cut = None
         for factors, c in monomials:
-            if c == 0:
+            if c == 0 and skip_zeros:
                 if series:
                     n = _skipped_precision(factors, powers, args)
                     cut = n if cut is None else min(cut, n)

@@ -113,6 +113,7 @@ def test_tampered_step_rejected():
 def test_lemma53_step_counts():
     out = lemma53_split(1, 1, L("t", F2), L("t", F2))
     out.trace.validate()
+    assert out.symbol is SPLIT
     assert out.trace.concludes_split
     assert len(out.trace) == 4
 
@@ -125,6 +126,7 @@ def test_lemma53_step_counts():
 def test_lemma53_zero_scalar_collapses():
     # r = 0 mod p makes the symbol component vanish outright
     out = lemma53_split(2, 1, L("t", F2), L("t", F2))
+    assert out.symbol is SPLIT
     assert len(out.trace) == 1
     assert out.trace.steps[0].rule == "as_coboundary"
     out = lemma53_split(1, 1, L("0", F3), L("t", F3))

@@ -4,6 +4,7 @@ structured output schema."""
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -519,6 +520,28 @@ def test_precision_cap_exits_2():
         ), argv
 
 
+def test_literal_precision_cap_exits_2():
+    cap = cli.MAX_PRECISION
+    code, _ = run_command(["ram", "analyze", "--p", "2", f"t^-1 + O(t^{cap})"])
+    assert code == 0
+    over = f"O(t^{cap + 1})"
+    for argv in (
+        ["ram", "analyze", "--p", "2", f"t^-1 + {over}"],
+        ["witt", "add", "--p", "2", "[t; 0]", f"[t; t^2 + {over}]"],
+        ["symbol", "normalize", "--p", "2", f"[[t^-2]; t^5 + {over})"],
+        ["thm", "cyclic-to-insep", "--p", "3",
+         "--omega", f"[t^-1 + t + {over}; t^-2]", "--b", "t^3 + t^4"],
+    ):
+        assert run_command(argv) == (
+            2,
+            f"error: LimitExceeded: a literal's precision is at most {cap}, "
+            f"got {over}",
+        ), argv
+    # parse errors and empty windows keep their own exit codes
+    assert run_command(["witt", "add", "--p", "2", f"[t + {over}]", "[t^]"])[0] == 3
+    assert run_command(["ram", "analyze", "--p", "2", "0 + O(t^-5)"])[0] == 4
+
+
 def test_count_cap_exits_2(monkeypatch):
     over = str(cli.MAX_COUNT + 1)
     code, text = run_command(["oracle", "newton-check", "--p", "2", "--count", over])
@@ -662,3 +685,28 @@ def test_python_dash_m_runs_the_cli():
     assert proc.returncode == 0
     assert proc.stdout == "[0; t^2]\n"
     assert proc.stderr == ""
+
+
+def _readme_examples():
+    """(argv, output) for every `$ wittram ...` example in README.md; the
+    output runs to the next blank line or code fence."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = iter(readme.read_text().splitlines())
+    examples = []
+    for line in lines:
+        if not line.startswith("$ wittram "):
+            continue
+        out = []
+        for line_out in lines:
+            if not line_out or line_out.startswith("```"):
+                break
+            out.append(line_out)
+        examples.append((shlex.split(line)[2:], "\n".join(out)))
+    return examples
+
+
+def test_readme_examples_match_output():
+    examples = _readme_examples()
+    assert examples
+    for argv, output in examples:
+        assert run_command(argv) == (0, output), argv

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from wittram import sampling
+from wittram.coeff import FieldKind, FieldSpec
 from wittram.errors import (
     DegenerateExtension,
     HypothesisViolation,
@@ -19,6 +20,7 @@ from wittram.extension import (
     Classification,
     CyclicExtDesc,
     ExtensionElem,
+    _second_relation_coeffs,
     as_reduce,
     classify_deg_p,
     classify_len2,
@@ -28,7 +30,7 @@ from wittram.extension import (
 )
 from wittram.newton import newton_classify_deg_p
 from wittram.valued import DEFAULT_PRECISION, LaurentElem, ext_val, pth_power
-from wittram.witt import WittVector, artin_schreier_map, witt_add
+from wittram.witt import WittVector, artin_schreier_map, sum_polys, witt_add
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U, L, W
 from oracles import conjugate_product
@@ -299,6 +301,36 @@ def test_minimal_relations_m2():
     # x2^2 = x2 + w2 + w1 x1 over p = 2
     rhs = x2 + desc.scalar(w2) + desc.x1().scale(w1)
     assert x2 * x2 == rhs
+
+
+def _relation_from_addition_law(p, omega1, omega2):
+    """R[0..p-1] read off the Z-polynomial S_1 = X1 + Y1 + sum_i c_i
+    X0^i Y0^(p-i), the second component of the addition law."""
+    coeffs = [omega2] + [None] * (p - 1)
+    for (e_x0, e_x1, e_y0, e_y1), c in sum_polys(p, 2)[1].terms.items():
+        if e_x1 or e_y1:
+            assert (e_x0, e_y0, c) == (0, 0, 1)
+            continue
+        assert e_x0 + e_y0 == p and coeffs[e_x0] is None
+        coeffs[e_x0] = (omega1 ** e_y0).scale_int(c)
+    return coeffs
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_second_relation_matches_addition_law(p):
+    rng = sampling.make_rng(40 + p)
+    for kind in (FieldKind.PRIME, FieldKind.RATIONAL):
+        spec = FieldSpec(p, kind)
+        for _ in range(10):
+            omega1, omega2 = (
+                sampling.random_laurent(rng, spec, precision=rng.randrange(8, 101))
+                for _ in range(2)
+            )
+            got = _second_relation_coeffs(p, omega1, omega2)
+            want = _relation_from_addition_law(p, omega1, omega2)
+            assert [(x.terms, x.precision) for x in got] == [
+                (x.terms, x.precision) for x in want
+            ]
 
 
 def test_ext_mul_laws():

@@ -23,6 +23,7 @@ from wittram.witt import (
     witt_add,
     witt_neg,
     witt_sub,
+    _sum_law,
 )
 
 from conftest import ALL_SPECS, F2, F3, L, W
@@ -298,3 +299,19 @@ def test_group_law_past_the_exponent_limit_raises_as_before():
             want()
         with pytest.raises(LimitExceeded, match=re.escape(str(expected.value))):
             got()
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_group_law_past_the_exponent_limit_matches_z_polynomials(p, m):
+    # A last component of valuation -200 puts the addition law past the
+    # guard where monomials that vanish mod p stop being skipped; it
+    # enters the laws linearly, so nothing leaves the exponent range.
+    spec = FieldSpec(p)
+    one = spec.one()
+    high = LaurentElem(spec, {-1: one, 2: one}, 200)
+    low = LaurentElem(spec, {-200: one, 1: one}, 200)
+    a = WittVector(p, m, [high] * (m - 1) + [low])
+    b = WittVector(p, m, [LaurentElem(spec, {-3: one, 5: one}, 150)] * m)
+    assert -200 * _sum_law(p, m).degree < -p * p * DEFAULT_PRECISION
+    _assert_same(witt_add(a, b), _reference_add(a, b))
+    _assert_same(witt_neg(a), _reference_neg(a))
