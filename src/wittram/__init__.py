@@ -9,9 +9,10 @@ headline constructions convert between totally ramified cyclic maximal
 subfields and purely inseparable ones in both directions.
 """
 
+import importlib
+
 from . import (
     brauer,
-    cli,
     coeff,
     errors,
     extension,
@@ -76,6 +77,15 @@ from .witt import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is imported on first use, so that `python -m wittram.cli` does not
+    # find it already imported by the package.
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BrauerSymbol",

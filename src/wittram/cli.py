@@ -58,7 +58,8 @@ from .valued import DEFAULT_PRECISION, LaurentElem
 from .witt import WittVector, _check_caps, ghost_polys, sum_polys, witt_neg
 from . import sampling
 
-# Series inverses and norms are quadratic in the precision window, and each
+# Series products and inverses are quadratic in the precision window, a
+# norm is m(p-1) products in the extension with no inverse, and each
 # newton-check draw is classified twice; see README for the measured cost
 # at each cap.
 MAX_PRECISION = 1024
@@ -83,10 +84,6 @@ def _config_dict(args, m):
 
 
 def _base_spec(args):
-    if args.residue not in ("fp", "fp-u"):
-        raise UnsupportedInput(f"unknown residue field {args.residue!r}")
-    if args.format not in ("text", "structured"):
-        raise UnsupportedInput(f"unknown format {args.format!r}")
     _check_caps(args.p, 1)
     if args.precision > MAX_PRECISION:
         raise LimitExceeded(

@@ -10,6 +10,7 @@ Witt group law so the vector stays in the same class.
 
 import dataclasses
 import enum
+import math
 from fractions import Fraction
 
 from . import coeff
@@ -455,7 +456,7 @@ class CyclicExtDesc:
     m = 2: K(x1, x2), x1^p = x1 + omega1 and x2^p = x2 + R(x1).
     """
 
-    __slots__ = ("p", "m", "omega", "omega1", "relation", "first_report")
+    __slots__ = ("p", "m", "omega", "omega1", "relation")
 
     def __init__(self, omega):
         if not isinstance(omega, WittVector):
@@ -464,8 +465,7 @@ class CyclicExtDesc:
             raise UnsupportedCase("extension arithmetic implemented for m <= 2")
         if not isinstance(omega.components[0], LaurentElem):
             raise ShapeMismatch("expected Laurent series components")
-        first_report = classify_deg_p(omega.components[0])
-        if first_report.classification is Classification.SPLIT:
+        if classify_deg_p(omega.components[0]).classification is Classification.SPLIT:
             raise DegenerateExtension(
                 "first component splits; the data does not define a degree-p^m field"
             )
@@ -480,7 +480,6 @@ class CyclicExtDesc:
         else:
             rel = None
         object.__setattr__(self, "relation", rel)
-        object.__setattr__(self, "first_report", first_report)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicExtDesc is immutable")
@@ -613,70 +612,41 @@ class ExtensionElem:
         return "ExtensionElem(" + (" + ".join(bits) if bits else "0") + ")"
 
 
-def _laurent_det(rows):
-    """Determinant by elimination with minimal-valuation pivots.
+def _shift(elem, level, k):
+    """The conjugate of elem under x_level -> x_level + k, k in F_p.
 
-    Raises PrecisionExhausted when some column carries no term that the
-    working precision can see, since the determinant is then not
-    separated from zero.
+    Each basis exponent e < p of x_level expands binomially into
+    sum_l C(e, l) k^(e-l) x_level^l, so the result stays in the basis.
     """
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    sign = 1
-    pivots = []
-    for col in range(n):
-        pivot_row = None
-        pivot_val = None
-        for r in range(col, n):
-            entry = rows[r][col]
-            if entry.is_apparent_zero:
-                continue
-            v = entry.val()
-            if pivot_val is None or v < pivot_val:
-                pivot_val = v
-                pivot_row = r
-        if pivot_row is None:
-            raise PrecisionExhausted(
-                "no usable pivot: determinant not separated from zero"
-            )
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        inv = pivot.inverse()
-        for r in range(col + 1, n):
-            entry = rows[r][col]
-            if entry.is_apparent_zero:
-                continue
-            factor = entry * inv
-            rows[r] = [
-                rows[r][k] - factor * rows[col][k] for k in range(n)
-            ]
-        pivots.append(pivot)
-    det = pivots[0]
-    for piv in pivots[1:]:
-        det = det * piv
-    return det.scale_int(sign)
+    out = {}
+    for key, a in elem.coeffs.items():
+        e = key[level - 1]
+        for low in range(e + 1):
+            term = a.scale_int(math.comb(e, low) * k ** (e - low))
+            new_key = key[:level - 1] + (low,) + key[level:]
+            out[new_key] = out[new_key] + term if new_key in out else term
+    return ExtensionElem(elem.desc, out)
 
 
 def norm_element(desc, elem):
-    """Field norm: determinant of multiplication by elem on the basis
-    x1^i x2^j."""
+    """Field norm N_{L/K} as a product of Galois conjugates, one level at
+    a time from the top: N = N_{L1/K} o N_{L/L1}.
+
+    x_i^p = x_i + (terms in lower variables), so x_i -> x_i + k for k in
+    F_p generates Gal(L_i/L_{i-1}).  The product of the p conjugates at
+    level i lies in L_{i-1}: its coefficients on positive powers of x_i
+    are exactly zero, so they are dropped.  No step divides.
+    """
     if not isinstance(elem, ExtensionElem):
         raise ShapeMismatch("norm_element expects an ExtensionElem")
     if elem.desc is not desc and elem.desc.omega != desc.omega:
         raise SpecMismatch("element does not live in this extension")
-    basis = desc.basis()
-    index = {key: pos for pos, key in enumerate(basis)}
-    n = len(basis)
-    zero = desc.zero_scalar()
-    cols = []
-    for key in basis:
-        b = ExtensionElem(desc, {key: desc.omega1.ring_one()})
-        prod = elem * b
-        col = [zero] * n
-        for k, a in prod.coeffs.items():
-            col[index[k]] = a
-        cols.append(col)
-    rows = [[cols[c][r] for c in range(n)] for r in range(n)]
-    return _laurent_det(rows)
+    z = elem
+    for level in range(desc.m, 0, -1):
+        prod = z
+        for k in range(1, desc.p):
+            prod = prod * _shift(z, level, k)
+        z = ExtensionElem(desc, {
+            key: a for key, a in prod.coeffs.items() if not any(key[level - 1:])
+        })
+    return z.coeff_at(0, 0)

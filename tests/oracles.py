@@ -1,26 +1,79 @@
 """Independent brute-force oracles used only by the tests.
 
-These recompute answers by definition-level enumeration or by Galois
-conjugation, sharing no code with the reduction routines they check.
+These recompute answers by definition-level enumeration or, for field
+norms, by the determinant of the multiplication map.  They share no code
+with the routines they check beyond the element arithmetic itself.
 """
 
 import itertools
 
 from wittram.coeff import FieldKind, ResidueElem
+from wittram.errors import PrecisionExhausted
+from wittram.extension import ExtensionElem
 
 
-def conjugate_product(desc):
-    """The product of (x1 + j) over j = 0 .. p-1.
+def _laurent_det(rows):
+    """Determinant by elimination with minimal-valuation pivots.
 
-    For the degree-p extension x1^p = x1 + w the Galois orbit of x1 is
-    {x1 + j}, so this is the conjugate-product form of the norm.
+    Raises PrecisionExhausted when some column carries no term that the
+    working precision can see, since the determinant is then not
+    separated from zero.
     """
-    one = desc.omega1.ring_one()
-    x1 = desc.x1()
-    prod = x1
-    for j in range(1, desc.p):
-        prod = prod * (x1 + desc.scalar(one.scale_int(j)))
-    return prod
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    sign = 1
+    pivots = []
+    for col in range(n):
+        pivot_row = None
+        pivot_val = None
+        for r in range(col, n):
+            entry = rows[r][col]
+            if entry.is_apparent_zero:
+                continue
+            v = entry.val()
+            if pivot_val is None or v < pivot_val:
+                pivot_val = v
+                pivot_row = r
+        if pivot_row is None:
+            raise PrecisionExhausted(
+                "no usable pivot: determinant not separated from zero"
+            )
+        if pivot_row != col:
+            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+            sign = -sign
+        pivot = rows[col][col]
+        inv = pivot.inverse()
+        for r in range(col + 1, n):
+            entry = rows[r][col]
+            if entry.is_apparent_zero:
+                continue
+            factor = entry * inv
+            rows[r] = [
+                rows[r][k] - factor * rows[col][k] for k in range(n)
+            ]
+        pivots.append(pivot)
+    det = pivots[0]
+    for piv in pivots[1:]:
+        det = det * piv
+    return det.scale_int(sign)
+
+
+def determinant_norm(desc, elem):
+    """Field norm as the determinant of multiplication by elem on the
+    basis x1^i x2^j, independent of the library's conjugate product."""
+    basis = desc.basis()
+    index = {key: pos for pos, key in enumerate(basis)}
+    n = len(basis)
+    zero = desc.zero_scalar()
+    cols = []
+    for key in basis:
+        prod = elem * ExtensionElem(desc, {key: desc.omega1.ring_one()})
+        col = [zero] * n
+        for k, a in prod.coeffs.items():
+            col[index[k]] = a
+        cols.append(col)
+    rows = [[cols[c][r] for c in range(n)] for r in range(n)]
+    return _laurent_det(rows)
 
 
 def _residue_candidates(spec, max_deg):

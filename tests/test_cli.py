@@ -457,6 +457,175 @@ def test_ram_analyze_golden_transcripts(argv, text_lines, record):
     assert text == json.dumps(record)
 
 
+# Recorded when norms were still determinants of the multiplication
+# matrix: every `thm cyclic-to-insep` case here takes the norm branch
+# (v(b) divisible by p), for m = 1 over F_2, F_3, F_2(u), F_3(u) and
+# m = 2 over F_2, F_3, F_3(u).
+CYCLIC_TO_INSEP_GOLDEN = [
+    (
+        ['--p', '2', '--omega', '[t^-3 + t]', '--b', 't^-2 + t^5'],
+        [
+            'c: t^-5 + t^-1 + t^2 + t^6 + O(t^59)',
+            'v(c): -5',
+            'note: c = N(x1) * b with v(N(x1)) coprime to p',
+        ],
+        {'config': {'p': 2,
+                    'm': 1,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[t^-3 + t]', 'b': 't^-2 + t^5'},
+         'trace': [],
+         'verdict': 't^-5 + t^-1 + t^2 + t^6 + O(t^59)',
+         'evidence': {'c': 't^-5 + t^-1 + t^2 + t^6 + O(t^59)',
+                      'v_c': -5,
+                      'norm_factor': 't^-3 + t + O(t^61)',
+                      'note': 'c = N(x1) * b with v(N(x1)) coprime to p'}},
+    ),
+    (
+        ['--p', '3', '--omega', '[t^-1 + t]', '--b', 't^3'],
+        [
+            'c: t^2 + t^4 + O(t^63)',
+            'v(c): 2',
+            'note: c = N(x1) * b with v(N(x1)) coprime to p',
+        ],
+        {'config': {'p': 3,
+                    'm': 1,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[t^-1 + t]', 'b': 't^3'},
+         'trace': [],
+         'verdict': 't^2 + t^4 + O(t^63)',
+         'evidence': {'c': 't^2 + t^4 + O(t^63)',
+                      'v_c': 2,
+                      'norm_factor': 't^-1 + t + O(t^63)',
+                      'note': 'c = N(x1) * b with v(N(x1)) coprime to p'}},
+    ),
+    (
+        ['--p', '2', '--residue', 'fp-u', '--omega', '[u*t^-1]',
+         '--b', 't^2 + u*t^3'],
+        [
+            'c: u*t + u^2*t^2 + O(t^63)',
+            'v(c): 1',
+            'note: c = N(x1) * b with v(N(x1)) coprime to p',
+        ],
+        {'config': {'p': 2,
+                    'm': 1,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[u*t^-1]', 'b': 't^2 + u*t^3'},
+         'trace': [],
+         'verdict': 'u*t + u^2*t^2 + O(t^63)',
+         'evidence': {'c': 'u*t + u^2*t^2 + O(t^63)',
+                      'v_c': 1,
+                      'norm_factor': 'u*t^-1 + O(t^63)',
+                      'note': 'c = N(x1) * b with v(N(x1)) coprime to p'}},
+    ),
+    (
+        ['--p', '3', '--residue', 'fp-u', '--omega', '[u*t^-2 + t]', '--b', 't^-3'],
+        [
+            'c: u*t^-5 + t^-2 + O(t^59)',
+            'v(c): -5',
+            'note: c = N(x1) * b with v(N(x1)) coprime to p',
+        ],
+        {'config': {'p': 3,
+                    'm': 1,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[u*t^-2 + t]', 'b': 't^-3'},
+         'trace': [],
+         'verdict': 'u*t^-5 + t^-2 + O(t^59)',
+         'evidence': {'c': 'u*t^-5 + t^-2 + O(t^59)',
+                      'v_c': -5,
+                      'norm_factor': 'u*t^-2 + t + O(t^62)',
+                      'note': 'c = N(x1) * b with v(N(x1)) coprime to p'}},
+    ),
+    (
+        ['--p', '2', '--omega', '[t^-1; 0]', '--b', 't^2'],
+        [
+            'c: t^-1 + O(t^61)',
+            'v(c): -1',
+            'note: c = N(x2) * b with v(N(x2)) coprime to p',
+        ],
+        {'config': {'p': 2,
+                    'm': 2,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[t^-1; 0]', 'b': 't^2'},
+         'trace': [],
+         'verdict': 't^-1 + O(t^61)',
+         'evidence': {'c': 't^-1 + O(t^61)',
+                      'v_c': -1,
+                      'norm_factor': 't^-3 + O(t^61)',
+                      'note': 'c = N(x2) * b with v(N(x2)) coprime to p'}},
+    ),
+    (
+        ['--p', '3', '--omega', '[t^-1; t^-2]', '--b', 't^3 + t^4'],
+        [
+            'c: 2*t^-4 + 2*t^-3 + t^-2 + 2*t^-1 + 1 + O(t^57)',
+            'v(c): -4',
+            'note: c = N(x2) * b with v(N(x2)) coprime to p',
+        ],
+        {'config': {'p': 3,
+                    'm': 2,
+                    'residue': 'fp',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[t^-1; t^-2]', 'b': 't^3 + t^4'},
+         'trace': [],
+         'verdict': '2*t^-4 + 2*t^-3 + t^-2 + 2*t^-1 + 1 + O(t^57)',
+         'evidence': {'c': '2*t^-4 + 2*t^-3 + t^-2 + 2*t^-1 + 1 + O(t^57)',
+                      'v_c': -4,
+                      'norm_factor': '2*t^-7 + t^-5 + t^-4 + O(t^57)',
+                      'note': 'c = N(x2) * b with v(N(x2)) coprime to p'}},
+    ),
+    (
+        ['--p', '3', '--residue', 'fp-u', '--omega', '[u*t^-1; t^-2]',
+         '--b', 't^3 + t^4'],
+        [
+            'c: 2*u^7*t^-4 + (2*u^7+2*u^4+1)*t^-3 + (2*u^4+u+1)*t^-2 + '
+            '(u^2+u)*t^-1 + u^2 + O(t^57)',
+            'v(c): -4',
+            'note: c = N(x2) * b with v(N(x2)) coprime to p',
+        ],
+        {'config': {'p': 3,
+                    'm': 2,
+                    'residue': 'fp-u',
+                    'precision': 64,
+                    'format': 'structured'},
+         'inputs': {'omega': '[u*t^-1; t^-2]', 'b': 't^3 + t^4'},
+         'trace': [],
+         'verdict': '2*u^7*t^-4 + (2*u^7+2*u^4+1)*t^-3 + (2*u^4+u+1)*t^-2 + '
+                    '(u^2+u)*t^-1 + u^2 + O(t^57)',
+         'evidence': {'c': '2*u^7*t^-4 + (2*u^7+2*u^4+1)*t^-3 + '
+                           '(2*u^4+u+1)*t^-2 + (u^2+u)*t^-1 + u^2 + O(t^57)',
+                      'v_c': -4,
+                      'norm_factor': '2*u^7*t^-7 + (2*u^4+1)*t^-6 + u*t^-5 + '
+                                     'u^2*t^-4 + O(t^57)',
+                      'note': 'c = N(x2) * b with v(N(x2)) coprime to p'}},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, text_lines, record", CYCLIC_TO_INSEP_GOLDEN,
+    ids=[" ".join(case[0]) for case in CYCLIC_TO_INSEP_GOLDEN],
+)
+def test_cyclic_to_insep_golden_transcripts(argv, text_lines, record):
+    code, text = run_command(["thm", "cyclic-to-insep"] + argv)
+    assert code == 0
+    assert text.splitlines() == text_lines
+    code, text = run_command(
+        ["thm", "cyclic-to-insep"] + argv + ["--format", "structured"]
+    )
+    assert code == 0
+    assert text == json.dumps(record)
+
+
 # -- exit code edges -------------------------------------------------------------
 
 def test_m_flag_conflict_exits_2():
@@ -479,6 +648,9 @@ def test_prime_cap_exits_2():
 def test_argparse_rejections_use_its_own_exit():
     # unknown choices never reach the handlers; argparse exits with code 2
     code, text = run_command(["ram", "analyze", "--p", "2", "--residue", "fq", "t"])
+    assert code == 2
+    assert text == ""
+    code, text = run_command(["ram", "analyze", "--p", "2", "--format", "xml", "t"])
     assert code == 2
     assert text == ""
 
@@ -671,17 +843,29 @@ def test_main_error_path(capsys):
     assert capsys.readouterr().out.startswith("error: ParseError")
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(module):
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(src), env.get("PYTHONPATH")])
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "wittram", "witt", "add", "--p", "2",
+    return subprocess.run(
+        [sys.executable, "-m", module, "witt", "add", "--p", "2",
          "[t; 0]", "[t; 0]"],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_module("wittram")
+    assert proc.returncode == 0
+    assert proc.stdout == "[0; t^2]\n"
+    assert proc.stderr == ""
+
+
+def test_python_dash_m_cli_module_warns_nothing():
+    # the package must not import cli itself, or runpy warns on stderr
+    proc = _run_module("wittram.cli")
     assert proc.returncode == 0
     assert proc.stdout == "[0; t^2]\n"
     assert proc.stderr == ""

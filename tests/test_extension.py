@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from wittram import sampling
 from wittram.coeff import FieldKind, FieldSpec
+from wittram.grammar import parse_laurent, parse_witt
 from wittram.errors import (
     DegenerateExtension,
     HypothesisViolation,
@@ -33,7 +34,7 @@ from wittram.valued import DEFAULT_PRECISION, LaurentElem, ext_val, pth_power
 from wittram.witt import WittVector, artin_schreier_map, sum_polys, witt_add
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U, L, W
-from oracles import conjugate_product
+from oracles import determinant_norm
 
 
 # -- as_reduce ---------------------------------------------------------------
@@ -376,8 +377,9 @@ def test_norm_x1_is_conjugate_product():
         desc = CyclicExtDesc(WittVector(spec.p, 1, (w,)))
         sign = (-1) ** (spec.p + 1)
         got = norm_element(desc, desc.x1())
-        prod = conjugate_product(desc)
-        assert prod.coeff_at(0, 0) == w
+        det = determinant_norm(desc, desc.x1())
+        assert got == det
+        assert got.precision >= det.precision
         assert got == w.scale_int(sign)
         assert ext_val(spec.p, got) == Fraction(w.val(), spec.p)
 
@@ -387,6 +389,85 @@ def test_norm_x2_valuation():
     n = norm_element(desc, desc.x2())
     assert n.val() == -3
     assert ext_val(4, n) == Fraction(-3, 4)
+
+
+# Over F_p(u) the determinant oracle's series inverses grow large
+# fractions, so those extensions and elements are few, small and fixed;
+# over F_p they are drawn at random, at twice the precision.
+FPU_NORM_EXTENSIONS = (
+    (F2U, "[u*t^-1 + t]"), (F3U, "[u*t^-2 + t^-1]"),
+    (F2U, "[t^-3; u*t^-1]"), (F3U, "[u*t^-1; t^-2]"), (F3U, "[t^-1; u]"),
+)
+
+
+def _norm_cases(seed, precision):
+    """(desc, label, element) for x1, x2 and one general element of each
+    extension, for m = 1 and 2 over both residue kinds."""
+    rng = sampling.make_rng(seed)
+    descs = [
+        CyclicExtDesc(parse_witt(src, spec, precision))
+        for spec, src in FPU_NORM_EXTENSIONS
+    ]
+    for spec in (F2, F3):
+        for m in (1, 2):
+            for _ in range(3):
+                if m == 1:
+                    first = sampling.random_tr_element(rng, spec, 2 * precision)
+                    omega = WittVector(spec.p, 1, (first,))
+                else:
+                    omega = sampling.random_tr_vector_len2(rng, spec, 2 * precision)
+                descs.append(CyclicExtDesc(omega))
+    for desc in descs:
+        yield desc, "x1", desc.x1()
+        if desc.m == 2:
+            yield desc, "x2", desc.x2()
+        spec = desc.omega1.spec
+        coeffs = {}
+        for key in desc.basis()[:3]:
+            if spec.kind is FieldKind.RATIONAL:
+                src = "t^-1" if sum(key) % 2 else "1 + u*t"
+                coeffs[key] = parse_laurent(src, spec, precision)
+            else:
+                coeffs[key] = sampling.random_laurent(
+                    rng, spec, vmin=-1, vmax=2, max_terms=2,
+                    precision=desc.omega1.precision, nonzero=True,
+                )
+        yield desc, "general", ExtensionElem(desc, coeffs)
+
+
+def test_norm_matches_determinant_oracle():
+    compared = 0
+    for desc, label, elem in _norm_cases(seed=61, precision=32):
+        got = norm_element(desc, elem)
+        try:
+            det = determinant_norm(desc, elem)
+        except PrecisionExhausted:
+            continue  # the elimination found no pivot; nothing to compare
+        assert got == det, (desc.omega, label)
+        assert got.precision >= det.precision, (desc.omega, label)
+        if label != "general":
+            assert got.precision == det.precision, (desc.omega, label)
+        compared += 1
+    assert compared >= 40
+
+
+def test_norm_precision_is_honest():
+    """Recomputing from inputs known to a lower precision agrees with the
+    full computation below the precision the lower one claims."""
+    for desc, label, elem in _norm_cases(seed=62, precision=40):
+        full = norm_element(desc, elem)
+        known = desc.omega1.precision
+        for cut in (known // 2, 3 * known // 4):
+            low_desc = CyclicExtDesc(WittVector(
+                desc.p, desc.m,
+                tuple(c.truncated(cut) for c in desc.omega.components),
+            ))
+            low_elem = ExtensionElem(
+                low_desc, {k: a.truncated(cut) for k, a in elem.coeffs.items()}
+            )
+            low = norm_element(low_desc, low_elem)
+            assert low.precision <= full.precision, (desc.omega, label, cut)
+            assert low.agrees_with(full), (desc.omega, label, cut)
 
 
 def test_norm_multiplicative():
