@@ -406,19 +406,14 @@ def lemma54_rewrite(sym):
         raise NoRootError("leading component has no p-th root")
     p = sym.p
     b = sym.b
-    zero = _zero_like(b)
     # acc = [(omega1 + b, omega2 - sum_i r_i c^(p i) b^(p-i)), b);
-    # add back each cross term with its split certificate
+    # add back each cross term as the symbol its certificate splits
     acc, absorbed = add_absorbed(sym)
     steps = list(absorbed)
-    cp = frobenius_power(c, 1)
     for i in range(1, p):
-        coef = _cross_coeff(p, i) % p
-        piece = lemma53_split(coef, i, c, b)
+        piece = lemma53_split(_cross_coeff(p, i) % p, i, c, b)
         steps.extend(piece.trace.steps)
-        cross = ((cp ** i) * (b ** (p - i))).scale_int(coef)
-        piece_sym = BrauerSymbol(_vector(p, (zero, cross)), b)
-        acc, step = same_b_add(acc, piece_sym)
+        acc, step = same_b_add(acc, piece.trace.steps[0].before[0])
         steps.append(step)
     return RewriteOutcome(acc, RewriteTrace(tuple(steps)))
 

@@ -93,10 +93,16 @@ def _base_spec(args):
     return FieldSpec(args.p, kind)
 
 
-def _bounded(*values):
-    """Hold parsed literals to --precision's bound: a series, vector
+def _parse_literals(args, spec, literals):
+    """Parse each (argparse name, grammar parser) literal of args at
+    --precision, then hold them all to MAX_PRECISION: a series, vector
     component or symbol slot written with O(t^N), N > MAX_PRECISION,
-    raises LimitExceeded."""
+    raises LimitExceeded.  Every literal is parsed before any is capped,
+    so a parse error anywhere exits 3."""
+    values = [
+        parse(getattr(args, name.lstrip("-")), spec, args.precision)
+        for name, parse in literals
+    ]
     for value in values:
         if isinstance(value, BrauerSymbol):
             series = value.omega.components + (value.b,)
@@ -110,6 +116,7 @@ def _bounded(*values):
                     f"a literal's precision is at most {MAX_PRECISION}, "
                     f"got O(t^{x.precision})"
                 )
+    return values
 
 
 def _resolve_m(args, inferred):
@@ -190,13 +197,14 @@ class _Report:
     """One command's output: structured record plus text lines."""
 
     def __init__(self, m, inputs, verdict, evidence=None, trace=None,
-                 text_lines=None):
+                 text_lines=None, failed=False):
         self.m = m
         self.inputs = inputs
         self.verdict = verdict
         self.evidence = evidence or {}
         self.trace = trace
         self.text_lines = text_lines or [str(verdict)]
+        self.failed = failed
 
 
 def _classification_lines(report, extra_first=None):
@@ -214,11 +222,7 @@ def _classification_lines(report, extra_first=None):
     return lines
 
 
-def _cmd_witt_add(args):
-    spec = _base_spec(args)
-    a = parse_witt(args.a, spec, args.precision)
-    b = parse_witt(args.b, spec, args.precision)
-    _bounded(a, b)
+def _cmd_witt_add(args, spec, a, b):
     if a.m != b.m:
         raise ShapeMismatch(f"lengths differ: {a.m} vs {b.m}")
     m = _resolve_m(args, a.m)
@@ -232,10 +236,7 @@ def _cmd_witt_add(args):
     )
 
 
-def _cmd_witt_neg(args):
-    spec = _base_spec(args)
-    a = parse_witt(args.a, spec, args.precision)
-    _bounded(a)
+def _cmd_witt_neg(args, spec, a):
     m = _resolve_m(args, a.m)
     out = witt_neg(a)
     rendered = render_witt(out, args.precision)
@@ -247,10 +248,7 @@ def _cmd_witt_neg(args):
     )
 
 
-def _cmd_ram_analyze(args):
-    spec = _base_spec(args)
-    el = parse_element(args.element, spec, args.precision)
-    _bounded(el)
+def _cmd_ram_analyze(args, spec, el):
     if isinstance(el, BrauerSymbol):
         raise ShapeMismatch("analyze takes a series or a vector, not a symbol")
     if isinstance(el, WittVector):
@@ -272,10 +270,7 @@ def _cmd_ram_analyze(args):
     )
 
 
-def _cmd_symbol_normalize(args):
-    spec = _base_spec(args)
-    sym = parse_symbol(args.symbol, spec, args.precision)
-    _bounded(sym)
+def _cmd_symbol_normalize(args, spec, sym):
     m = _resolve_m(args, sym.m)
     out = normalize_symbol(sym)
     rendered = render_symbol(out.symbol, args.precision)
@@ -293,10 +288,7 @@ def _cmd_symbol_normalize(args):
     )
 
 
-def _cmd_symbol_rewrite(args):
-    spec = _base_spec(args)
-    sym = parse_symbol(args.symbol, spec, args.precision)
-    _bounded(sym)
+def _cmd_symbol_rewrite(args, spec, sym):
     m = _resolve_m(args, sym.m)
     if m != 2:
         raise UnsupportedCase("the rewrite is stated for length-2 vectors")
@@ -317,11 +309,7 @@ def _cmd_symbol_rewrite(args):
     )
 
 
-def _cmd_thm_cyclic_to_insep(args):
-    spec = _base_spec(args)
-    omega = parse_witt(args.omega, spec, args.precision)
-    b = parse_laurent(args.b, spec, args.precision)
-    _bounded(omega, b)
+def _cmd_thm_cyclic_to_insep(args, spec, omega, b):
     m = _resolve_m(args, omega.m)
     witness = cyclic_to_insep(omega, b)
     witness.verify()
@@ -369,10 +357,7 @@ def _construction_report(args, sym, construction):
     )
 
 
-def _cmd_thm_insep_to_cyclic(args):
-    spec = _base_spec(args)
-    sym = parse_symbol(args.symbol, spec, args.precision)
-    _bounded(sym)
+def _cmd_thm_insep_to_cyclic(args, spec, sym):
     m = _resolve_m(args, sym.m)
     if m == 1:
         construction = insep_to_cyclic_p(sym)
@@ -384,25 +369,20 @@ def _cmd_thm_insep_to_cyclic(args):
     return _construction_report(args, sym, construction)
 
 
-def _cmd_thm_perfect(args):
-    spec = _base_spec(args)
-    sym = parse_symbol(args.symbol, spec, args.precision)
-    _bounded(sym)
+def _cmd_thm_perfect(args, spec, sym):
     _resolve_m(args, sym.m)
     construction = insep_to_cyclic_perfect(sym)
     construction.trace.validate()
     return _construction_report(args, sym, construction)
 
 
-def _cmd_thm_disjoint_pair(args):
-    spec = _base_spec(args)
+def _cmd_thm_disjoint_pair(args, spec):
     m = args.m if args.m is not None else 1
     _check_caps(args.p, m)
     b = None
     b_text = "t"
     if args.b is not None:
-        b = parse_laurent(args.b, spec, args.precision)
-        _bounded(b)
+        (b,) = _parse_literals(args, spec, (("--b", parse_laurent),))
         b_text = render_laurent(b, args.precision)
     pair = build_disjoint_division_pair(spec, b, m)
     classes = [render_residue(a) for a in pair.classes]
@@ -440,11 +420,7 @@ def _stage_summary(payload):
     return _VERDICT_NAMES[payload.report.classification.value]
 
 
-def _cmd_thm_roundtrip(args):
-    spec = _base_spec(args)
-    omega = parse_witt(args.omega, spec, args.precision)
-    b = parse_laurent(args.b, spec, args.precision)
-    _bounded(omega, b)
+def _cmd_thm_roundtrip(args, spec, omega, b):
     m = _resolve_m(args, omega.m)
     report = conjecture_roundtrip(omega, b)
     lines = []
@@ -469,8 +445,7 @@ def _cmd_thm_roundtrip(args):
     )
 
 
-def _cmd_oracle_ghost_check(args):
-    _base_spec(args)
+def _cmd_oracle_ghost_check(args, spec):
     m = args.m if args.m is not None else 2
     _check_caps(args.p, m)
     ghosts = ghost_polys(args.p, m)
@@ -500,8 +475,7 @@ def _cmd_oracle_ghost_check(args):
     )
 
 
-def _cmd_oracle_newton_check(args):
-    spec = _base_spec(args)
+def _cmd_oracle_newton_check(args, spec):
     m = _resolve_m(args, 1)
     if args.count < 1:
         raise UnsupportedInput(f"--count must be at least 1, got {args.count}")
@@ -527,15 +501,59 @@ def _cmd_oracle_newton_check(args):
             f"mismatch: {item['input']} gave {item['got']}, "
             f"oracle says {item['want']}"
         )
-    report = _Report(
+    return _Report(
         m,
         {"count": args.count, "seed": args.seed},
         verdict,
         evidence={"agreements": agree, "mismatches": mismatches[:5]},
         text_lines=lines,
+        failed=bool(mismatches),
     )
-    report.failed = bool(mismatches)
-    return report
+
+
+# Help text of each command group, in the order --help lists them.
+_GROUPS = {
+    "witt": "vector arithmetic",
+    "ram": "ramification analysis",
+    "symbol": "symbol rewrites",
+    "thm": "construction pipelines",
+    "oracle": "independent checks",
+}
+
+
+def _leaves():
+    """Every leaf command as (group, command, handler, literals, flags).
+
+    A literal is an argparse name and the grammar parser that reads it;
+    run_command parses and caps them all before calling
+    handler(args, spec, *values).  A flag is an argparse name and its
+    add_argument options.  The table is built on each call, so it holds
+    the handlers and parsers the module binds when a command runs.
+    """
+    symbol = (("symbol", parse_symbol),)
+    omega_b = (("--omega", parse_witt), ("--b", parse_laurent))
+    return (
+        ("witt", "add", _cmd_witt_add,
+         (("a", parse_witt), ("b", parse_witt)), ()),
+        ("witt", "neg", _cmd_witt_neg, (("a", parse_witt),), ()),
+        ("ram", "analyze", _cmd_ram_analyze,
+         (("element", parse_element),), ()),
+        ("symbol", "normalize", _cmd_symbol_normalize, symbol, ()),
+        ("symbol", "rewrite", _cmd_symbol_rewrite, symbol, ()),
+        ("thm", "cyclic-to-insep", _cmd_thm_cyclic_to_insep, omega_b, ()),
+        ("thm", "insep-to-cyclic", _cmd_thm_insep_to_cyclic, symbol, ()),
+        ("thm", "perfect", _cmd_thm_perfect, symbol, ()),
+        # --b is parsed after the --m check, by the handler
+        ("thm", "disjoint-pair", _cmd_thm_disjoint_pair, (),
+         (("--b", {"default": None}),)),
+        ("thm", "roundtrip", _cmd_thm_roundtrip, omega_b, ()),
+        ("oracle", "ghost-check", _cmd_oracle_ghost_check, (), ()),
+        ("oracle", "newton-check", _cmd_oracle_newton_check, (), (
+            ("--count", {"type": int, "default": 100,
+                         "help": f"number of random inputs (1 to {MAX_COUNT})"}),
+            ("--seed", {"type": int, "default": 0}),
+        )),
+    )
 
 
 def _build_parser():
@@ -557,62 +575,21 @@ def _build_parser():
                         default="text", help="output mode")
 
     top = parser.add_subparsers(dest="group", required=True)
-
-    witt = top.add_parser("witt", help="vector arithmetic")
-    wsub = witt.add_subparsers(dest="command", required=True)
-    w_add = wsub.add_parser("add", parents=[common])
-    w_add.add_argument("a")
-    w_add.add_argument("b")
-    w_add.set_defaults(handler=_cmd_witt_add)
-    w_neg = wsub.add_parser("neg", parents=[common])
-    w_neg.add_argument("a")
-    w_neg.set_defaults(handler=_cmd_witt_neg)
-
-    ram = top.add_parser("ram", help="ramification analysis")
-    rsub = ram.add_subparsers(dest="command", required=True)
-    r_an = rsub.add_parser("analyze", parents=[common])
-    r_an.add_argument("element")
-    r_an.set_defaults(handler=_cmd_ram_analyze)
-
-    symbol = top.add_parser("symbol", help="symbol rewrites")
-    ssub = symbol.add_subparsers(dest="command", required=True)
-    s_norm = ssub.add_parser("normalize", parents=[common])
-    s_norm.add_argument("symbol")
-    s_norm.set_defaults(handler=_cmd_symbol_normalize)
-    s_rw = ssub.add_parser("rewrite", parents=[common])
-    s_rw.add_argument("symbol")
-    s_rw.set_defaults(handler=_cmd_symbol_rewrite)
-
-    thm = top.add_parser("thm", help="construction pipelines")
-    tsub = thm.add_subparsers(dest="command", required=True)
-    t_c2i = tsub.add_parser("cyclic-to-insep", parents=[common])
-    t_c2i.add_argument("--omega", required=True)
-    t_c2i.add_argument("--b", required=True)
-    t_c2i.set_defaults(handler=_cmd_thm_cyclic_to_insep)
-    t_i2c = tsub.add_parser("insep-to-cyclic", parents=[common])
-    t_i2c.add_argument("symbol")
-    t_i2c.set_defaults(handler=_cmd_thm_insep_to_cyclic)
-    t_perf = tsub.add_parser("perfect", parents=[common])
-    t_perf.add_argument("symbol")
-    t_perf.set_defaults(handler=_cmd_thm_perfect)
-    t_dp = tsub.add_parser("disjoint-pair", parents=[common])
-    t_dp.add_argument("--b", default=None)
-    t_dp.set_defaults(handler=_cmd_thm_disjoint_pair)
-    t_rt = tsub.add_parser("roundtrip", parents=[common])
-    t_rt.add_argument("--omega", required=True)
-    t_rt.add_argument("--b", required=True)
-    t_rt.set_defaults(handler=_cmd_thm_roundtrip)
-
-    oracle = top.add_parser("oracle", help="independent checks")
-    osub = oracle.add_subparsers(dest="command", required=True)
-    o_gc = osub.add_parser("ghost-check", parents=[common])
-    o_gc.set_defaults(handler=_cmd_oracle_ghost_check)
-    o_nc = osub.add_parser("newton-check", parents=[common])
-    o_nc.add_argument("--count", type=int, default=100,
-                      help=f"number of random inputs (1 to {MAX_COUNT})")
-    o_nc.add_argument("--seed", type=int, default=0)
-    o_nc.set_defaults(handler=_cmd_oracle_newton_check)
-
+    groups = {
+        name: top.add_parser(name, help=text).add_subparsers(
+            dest="command", required=True)
+        for name, text in _GROUPS.items()
+    }
+    for group, command, handler, literals, flags in _leaves():
+        leaf = groups[group].add_parser(command, parents=[common])
+        for name, _ in literals:
+            if name.startswith("--"):
+                leaf.add_argument(name, required=True)
+            else:
+                leaf.add_argument(name)
+        for name, options in flags:
+            leaf.add_argument(name, **options)
+        leaf.set_defaults(handler=handler, literals=literals)
     return parser
 
 
@@ -638,7 +615,9 @@ def run_command(argv):
         code = exc.code if isinstance(exc.code, int) else 0
         return code, ""
     try:
-        report = args.handler(args)
+        spec = _base_spec(args)
+        values = _parse_literals(args, spec, args.literals)
+        report = args.handler(args, spec, *values)
     except ParseError as exc:
         return 3, _error_text(args, "ParseError", str(exc))
     except PrecisionExhausted as exc:
@@ -656,8 +635,7 @@ def run_command(argv):
         text = json.dumps(record)
     else:
         text = "\n".join(report.text_lines)
-    code = 1 if getattr(report, "failed", False) else 0
-    return code, text
+    return (1 if report.failed else 0), text
 
 
 def main(argv=None):

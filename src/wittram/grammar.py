@@ -10,9 +10,11 @@ coefficients are parenthesized: (u+1)*t^2, (u^2+u+1)/(u)*t.
 Witt vectors: [e1; e2].  Symbols: [[e1; e2]; b).
 """
 
+from .brauer import BrauerSymbol
 from .coeff import FieldKind, ResidueElem, _padd, _ptrim
 from .errors import ParseError
 from .valued import DEFAULT_PRECISION, LaurentElem
+from .witt import WittVector
 
 
 def _poly_str(cs):
@@ -125,18 +127,15 @@ class _Tokens:
         self.pos += 1
         return tok
 
-    def expect(self, kind, expected=()):
+    def expect(self, kind, expected=(), message=None):
         tok = self.next()
         if tok[0] != kind:
             raise ParseError(
-                f"found {tok[1]!r}",
+                message or f"found {tok[1]!r}",
                 position=tok[2],
                 expected=expected or (kind,),
             )
         return tok
-
-    def at_end(self):
-        return self.pos >= len(self.items)
 
 
 def _parse_int(toks):
@@ -208,7 +207,7 @@ def _parse_poly(toks, p):
 
 
 def _parse_coeff(toks, spec):
-    """A residue coefficient; returns (elem, saw_value)."""
+    """A residue coefficient."""
     p = spec.p
     tok = toks.peek()
     if tok[0] == "(":
@@ -250,13 +249,9 @@ def _parse_t_power(toks):
     return 1
 
 
-def parse_laurent(text, spec, precision=None):
-    """Parse a Laurent series; an O(t^N) addend sets the precision."""
-    if precision is None:
-        precision = DEFAULT_PRECISION
-    toks = _Tokens(text)
+def _series(toks, spec, precision):
+    """term ('+' term)*; an O(t^N) term sets the precision."""
     terms = {}
-    seen_precision = None
 
     def add(e, c):
         if e in terms:
@@ -269,9 +264,8 @@ def parse_laurent(text, spec, precision=None):
         if tok[0] == "NAME" and tok[1] == "O":
             toks.next()
             toks.expect("(", expected=("(",))
-            e = _parse_t_power(toks)
+            precision = _parse_t_power(toks)
             toks.expect(")", expected=(")",))
-            seen_precision = e
         elif tok[0] == "NAME" and tok[1] == "t":
             e = _parse_t_power(toks)
             add(e, spec.one())
@@ -283,82 +277,65 @@ def parse_laurent(text, spec, precision=None):
                 add(e, c)
             else:
                 add(0, c)
-        if toks.peek()[0] == "+":
-            toks.next()
-            continue
-        break
-    if not toks.at_end():
-        tok = toks.peek()
+        if toks.peek()[0] != "+":
+            return LaurentElem(spec, terms, precision)
+        toks.next()
+
+
+def _vector(toks, spec, precision):
+    """'[' series (';' series)* ']', or a vector in a redundant '[' ']'."""
+    toks.expect("[", message="a vector must be bracketed like [a; b]")
+    if toks.peek()[0] == "[":
+        vec = _vector(toks, spec, precision)
+        toks.expect("]", expected=("]",))
+        return vec
+    comps = [_series(toks, spec, precision)]
+    while toks.peek()[0] == ";":
+        toks.next()
+        comps.append(_series(toks, spec, precision))
+    toks.expect("]", expected=("+", ";", "]"))
+    return WittVector(spec.p, len(comps), comps)
+
+
+def _symbol(toks, spec, precision):
+    """'[' vector ';' series ')'."""
+    toks.expect("[", message="a symbol must look like [[a; b]; c)")
+    omega = _vector(toks, spec, precision)
+    toks.expect(";", expected=(";",))
+    b = _series(toks, spec, precision)
+    toks.expect(")", expected=("+", ")"))
+    return BrauerSymbol(omega, b)
+
+
+def _parse(rule, text, spec, precision):
+    """Read the whole text by one rule; error offsets count from its start."""
+    if precision is None:
+        precision = DEFAULT_PRECISION
+    toks = _Tokens(text)
+    value = rule(toks, spec, precision)
+    tok = toks.peek()
+    if tok[0] != "END":
         raise ParseError(
-            f"trailing input {tok[1]!r}", position=tok[2], expected=("+",)
+            f"trailing input {tok[1]!r}",
+            position=tok[2],
+            expected=("+",) if rule is _series else ("end of input",),
         )
-    if seen_precision is not None:
-        precision = seen_precision
-    return LaurentElem(spec, terms, precision)
+    return value
 
 
-def _split_top(text, sep=";"):
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+def parse_laurent(text, spec, precision=None):
+    """Parse a Laurent series; an O(t^N) addend sets the precision."""
+    return _parse(_series, text, spec, precision)
 
 
 def parse_witt(text, spec, precision=None):
     """Parse [e1; e2; ...]; a redundant extra bracket pair is accepted."""
-    from .witt import WittVector
-
-    body = text.strip()
-    while True:
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ParseError(
-                "a vector must be bracketed like [a; b]",
-                position=0,
-                expected=("[",),
-            )
-        inner = body[1:-1].strip()
-        parts = [s.strip() for s in _split_top(inner)]
-        if len(parts) == 1 and inner.startswith("[") and inner.endswith("]"):
-            body = inner
-            continue
-        break
-    comps = [parse_laurent(s, spec, precision) for s in parts]
-    return WittVector(spec.p, len(comps), comps)
+    return _parse(_vector, text, spec, precision)
 
 
 def parse_symbol(text, spec, precision=None):
     """Parse [[e1; e2]; b)."""
-    from .brauer import BrauerSymbol
-
-    body = text.strip()
-    if not (body.startswith("[") and body.endswith(")")):
-        raise ParseError(
-            "a symbol must look like [[a; b]; c)",
-            position=0,
-            expected=("[",),
-        )
-    inner = body[1:-1]
-    parts = [s.strip() for s in _split_top(inner)]
-    if len(parts) != 2:
-        raise ParseError(
-            "a symbol has exactly two slots",
-            position=0,
-            expected=(";",),
-        )
-    omega = parse_witt(parts[0], spec, precision)
-    b = parse_laurent(parts[1], spec, precision)
-    return BrauerSymbol(omega, b)
+    return _parse(_symbol, text, spec, precision)
 
 
 def parse_element(text, spec, precision=None):

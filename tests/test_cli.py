@@ -62,6 +62,10 @@ def test_parse_error_exits_3():
     code, text = run_command(["ram", "analyze", "--p", "2", "t^"])
     assert code == 3
     assert text == "error: ParseError: at offset 2: found '' (expected an integer)"
+    # the offset counts from the start of the literal, not of the component
+    assert run_command(["witt", "add", "--p", "2", "[t; t^]", "[t]"]) == (
+        3, "error: ParseError: at offset 6: found ']' (expected an integer)"
+    )
 
 
 def test_u_over_prime_field_exits_2():
@@ -703,6 +707,13 @@ def test_literal_precision_cap_exits_2():
         ["symbol", "normalize", "--p", "2", f"[[t^-2]; t^5 + {over})"],
         ["thm", "cyclic-to-insep", "--p", "3",
          "--omega", f"[t^-1 + t + {over}; t^-2]", "--b", "t^3 + t^4"],
+        ["witt", "neg", "--p", "3", f"[t; t^2 + {over}]"],
+        ["symbol", "rewrite", "--p", "2", f"[[t^2; t^4]; t^-1 + {over})"],
+        ["thm", "insep-to-cyclic", "--p", "2", f"[[t^-1 + {over}]; t^-1)"],
+        ["thm", "perfect", "--p", "3", f"[[t; 0]; t^2 + {over})"],
+        ["thm", "disjoint-pair", "--p", "3", "--residue", "fp-u", "--m", "2",
+         "--b", f"t + {over}"],
+        ["thm", "roundtrip", "--p", "2", "--omega", f"[0; {over}]", "--b", "t"],
     ):
         assert run_command(argv) == (
             2,
@@ -728,7 +739,7 @@ def test_count_cap_exits_2(monkeypatch):
 
 
 def test_every_package_error_exits_2(monkeypatch):
-    def fail(args):
+    def fail(args, *values):
         raise InternalInexactDivision("coefficient 3 not divisible by 2")
 
     monkeypatch.setattr(cli, "_cmd_witt_add", fail)

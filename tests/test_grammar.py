@@ -93,6 +93,25 @@ def test_parse_error_positions():
         parse_symbol("[[t;0]; t", F2)
 
 
+def test_parse_error_offsets_count_from_the_literal_start():
+    # an error inside a vector component or a symbol slot is reported at
+    # its offset into the whole input, not into the component or slot
+    for parse, text, spec, position, message in (
+        (parse_witt, "[t; t^]", F2, 6, "found ']' (expected an integer)"),
+        (parse_witt, "[t; (u+)*t]", F2U, 7,
+         "found ')' (expected an integer, u)"),
+        (parse_symbol, "[[t; t^]; t)", F2, 7, "found ']' (expected an integer)"),
+        (parse_symbol, "[[t^-1; 0]; t^)", F2, 14,
+         "found ')' (expected an integer)"),
+        (parse_element, "[[0]; t + t^)", F2, 12,
+         "found ')' (expected an integer)"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(text, spec)
+        assert exc.value.position == position, text
+        assert str(exc.value) == f"at offset {position}: {message}", text
+
+
 def test_parse_error_message_shape():
     with pytest.raises(ParseError, match="at offset 2: found '' \\(expected an integer\\)"):
         parse_laurent("t^", F2U)
