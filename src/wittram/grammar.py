@@ -285,15 +285,17 @@ def _series(toks, spec, precision):
 def _vector(toks, spec, precision):
     """'[' series (';' series)* ']', or a vector in a redundant '[' ']'."""
     toks.expect("[", message="a vector must be bracketed like [a; b]")
-    if toks.peek()[0] == "[":
-        vec = _vector(toks, spec, precision)
-        toks.expect("]", expected=("]",))
-        return vec
+    depth = 0
+    while toks.peek()[0] == "[":
+        toks.next()
+        depth += 1
     comps = [_series(toks, spec, precision)]
     while toks.peek()[0] == ";":
         toks.next()
         comps.append(_series(toks, spec, precision))
     toks.expect("]", expected=("+", ";", "]"))
+    for _ in range(depth):
+        toks.expect("]", expected=("]",))
     return WittVector(spec.p, len(comps), comps)
 
 

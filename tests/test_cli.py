@@ -68,6 +68,21 @@ def test_parse_error_exits_3():
     )
 
 
+def test_deeply_nested_brackets_end_in_an_answer():
+    # redundant bracket pairs are read in a loop, so their depth is not
+    # bounded by Python's recursion limit
+    depth = 2000
+    nested = "[" * depth + "t" + "]" * depth
+    assert run_command(["witt", "neg", "--p", "2", nested]) == (0, "[t]")
+    code, text = run_command(
+        ["symbol", "normalize", "--p", "2", "[" + nested + "; t)"]
+    )
+    assert code == 0 and text.startswith("result: [[t"), text
+    assert run_command(["witt", "neg", "--p", "2", nested[:-1]]) == (
+        3, f"error: ParseError: at offset {2 * depth}: found '' (expected ])"
+    )
+
+
 def test_u_over_prime_field_exits_2():
     code, text = run_command(["ram", "analyze", "--p", "2", "--residue", "fp", "u"])
     assert code == 2
