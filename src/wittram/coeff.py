@@ -62,6 +62,12 @@ def _pmul(a, b, p):
 
 
 def _ppow(a, e, p):
+    if e and e % p == 0:
+        # a(u)^(p k) = a^k(u^p), as every coefficient lies in F_p
+        low = _ppow(a, e // p, p)
+        out = [0] * (p * len(low) - p + 1) if low else []
+        out[::p] = low
+        return tuple(out)
     out = (1,)
     base = a
     while e:
@@ -160,13 +166,14 @@ class FieldSpec:
     # -- element factories --------------------------------------------------
 
     def zero(self):
-        return ResidueElem(self, (), (1,))
+        return ResidueElem._raw(self, (), (1,))
 
     def one(self):
-        return ResidueElem(self, (1,), (1,))
+        return ResidueElem._raw(self, (1,), (1,))
 
     def from_int(self, c):
-        return ResidueElem(self, ((c % self.p),), (1,))
+        c %= self.p
+        return ResidueElem._raw(self, (c,) if c else (), (1,))
 
     def u(self):
         if self.kind is not FieldKind.RATIONAL:

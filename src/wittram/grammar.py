@@ -342,12 +342,13 @@ def parse_symbol(text, spec, precision=None):
 
 def parse_element(text, spec, precision=None):
     """Dispatch on the trailing delimiter: ')' symbol, ']' vector,
-    anything else a Laurent series."""
+    anything else a Laurent series.  Error offsets count from the start
+    of text, leading blanks included."""
     body = text.strip()
     if not body:
         raise ParseError("empty input", position=0, expected=("an element",))
     if body.endswith(")") and body.startswith("["):
-        return parse_symbol(body, spec, precision)
+        return parse_symbol(text, spec, precision)
     if body.endswith("]"):
-        return parse_witt(body, spec, precision)
-    return parse_laurent(body, spec, precision)
+        return parse_witt(text, spec, precision)
+    return parse_laurent(text, spec, precision)

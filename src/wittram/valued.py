@@ -12,6 +12,9 @@ Precision propagation rules (tested exactly in the suite):
 * inverse:    Na - 2*val(a)
 * p-th power: p * Na
 * p-th root:  ceil(Na / p)
+* a ** e, e >= 1: what square-and-multiply started at ring_one() (known
+  to max(Na, 64)) reports, e*va + min(max(Na, 64), Na - va); e * Na for
+  apparent zeros.  This can be less than a^e determines.
 
 Equality means "indistinguishable at the shared precision": all
 coefficients below min(Na, Nb) agree.  Laurent elements are therefore
@@ -105,6 +108,8 @@ class LaurentElem:
         """A view of the same value at lower (never higher) precision."""
         if precision > self.precision:
             raise UnsupportedInput("cannot raise precision after the fact")
+        if precision == self.precision:
+            return self
         return LaurentElem(self.spec, self.terms, precision)
 
     # -- arithmetic ------------------------------------------------------------
@@ -194,20 +199,31 @@ class LaurentElem:
     def __pow__(self, e):
         if e < 0:
             return self.inverse() ** (-e)
+        target = _power_precision(self, e) if e and self.terms else None
+        if target is not None:
+            try:
+                return _base_p_power(self, e, target)
+            except LimitExceeded:
+                # A factor cut to a precision near zero meets a tighter
+                # exponent limit than any product of the loop below does.
+                pass
         return binary_power(self, e, self.ring_one())
 
     # -- comparison -------------------------------------------------------------
 
     def agrees_with(self, other):
-        """True when both series match on all coefficients they both see."""
+        """True when both series match on all coefficients they both see.
+
+        Zeros are never stored, so an exponent missing from one side
+        differs from a term the other side has there.
+        """
         self._check(other)
         cut = min(self.precision, other.precision)
-        for e in set(self.terms) | set(other.terms):
-            if e >= cut:
-                continue
-            if self.residue_at(e) != other.residue_at(e):
+        mine, theirs = self.terms, other.terms
+        for e, c in mine.items():
+            if e < cut and theirs.get(e) != c:
                 return False
-        return True
+        return all(e >= cut or e in mine for e in theirs)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentElem):
@@ -228,9 +244,11 @@ class LaurentElem:
 def binary_power(x, e, one):
     """x^e for e >= 0 by square-and-multiply, the product started at one.
 
-    The power loop of series, integer polynomials and extension elements.
-    A series power starts at ring_one(), known to max(N, DEFAULT_PRECISION),
-    so the result can report less precision than x^e determines.
+    The power loop of integer polynomials and extension elements, and of
+    series powers of apparent zeros or where the exponent limit trips.
+    Every series power reports the precision this loop gives from
+    ring_one(), known to max(N, DEFAULT_PRECISION), which can be less
+    than x^e determines.
     """
     out = one
     while e:
@@ -241,14 +259,84 @@ def binary_power(x, e, one):
     return out
 
 
+def _power_precision(x, e):
+    """The precision binary_power(x, e, x.ring_one()) reports, for x with
+    terms and e >= 1, or None where one of its products would raise
+    LimitExceeded.
+
+    It runs the same steps on (valuation, precision) pairs alone.  A
+    product of series with terms keeps its leading term at va + vb,
+    below min(va + Nb, vb + Na), as the residue field has no zero
+    divisors; only that term can fall below the exponent limit.
+    """
+    made = []
+
+    def mul(a, b):
+        made.append((a[0] + b[0], min(a[0] + b[1], b[0] + a[1])))
+        return made[-1]
+
+    out = (0, max(x.precision, DEFAULT_PRECISION))
+    base = (min(x.terms), x.precision)
+    while e:
+        if e & 1:
+            out = mul(out, base)
+        base = mul(base, base) if e > 1 else base
+        e >>= 1
+    bound = x.spec.p * x.spec.p
+    if any(v < -bound * max(abs(n), DEFAULT_PRECISION) for v, n in made):
+        return None
+    return out[1]
+
+
+def _base_p_power(x, e, target):
+    """x^e for x with terms and e >= 1, known modulo t^target.
+
+    Horner form over the base-p digits d_k of e: x^(e // p^k) is
+    F(x^(e // p^(k+1))) * x^(d_k), with F the Frobenius, so each digit
+    costs one pth_power and at most one product.  With R = target - e*v,
+    step k needs its factors only to relative precision ceil(R / p^k),
+    and each is cut to that, so the result ends at target exactly.
+    """
+    p = x.spec.p
+    v = min(x.terms)
+    rel = target - e * v
+    digits = []
+    while e:
+        e, d = divmod(e, p)
+        digits.append(d)
+
+    def need(k):
+        return -(-rel // p ** k)
+
+    # x^1 .. x^(max digit), at what the lowest nonzero digit's step needs
+    low = next(k for k, d in enumerate(digits) if d)
+    powers = [None, x.truncated(v + need(low))]
+    for d in range(2, max(digits) + 1):
+        powers.append(powers[d // 2] * powers[d - d // 2])
+    out, ek = None, 0
+    for k in reversed(range(len(digits))):
+        r = need(k)
+        if out is not None:
+            out = pth_power(out).truncated(p * ek * v + r)
+        d = digits[k]
+        ek = ek * p + d
+        if d:
+            xd = powers[d].truncated(d * v + r)
+            out = xd if out is None else out * xd
+    return out
+
+
 def pth_power(a):
-    """The Frobenius: exponents and precision scale by p; coefficients^p."""
+    """The Frobenius: exponents and precision scale by p; coefficients^p.
+
+    Over F_p every coefficient is its own p-th power.
+    """
     p = a.spec.p
-    return LaurentElem(
-        a.spec,
-        {e * p: c ** p for e, c in a.terms.items()},
-        a.precision * p,
-    )
+    if a.spec.kind is _coeff.FieldKind.PRIME:
+        terms = {e * p: c for e, c in a.terms.items()}
+    else:
+        terms = {e * p: c ** p for e, c in a.terms.items()}
+    return LaurentElem(a.spec, terms, a.precision * p)
 
 
 def pth_root(a):

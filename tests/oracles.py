@@ -76,6 +76,22 @@ def determinant_norm(desc, elem):
     return _laurent_det(rows)
 
 
+def ring_one_power(x, e):
+    """x^e by square-and-multiply with the product started at
+    x.ring_one(), after inverting x for e < 0: the reference for the
+    values, precision and errors of LaurentElem.__pow__."""
+    if e < 0:
+        return ring_one_power(x.inverse(), -e)
+    out = x.ring_one()
+    while e:
+        if e & 1:
+            out = out * x
+        if e > 1:
+            x = x * x
+        e >>= 1
+    return out
+
+
 def _residue_candidates(spec, max_deg):
     """Every residue element with polynomial numerator of degree <= max_deg."""
     p = spec.p

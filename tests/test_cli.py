@@ -66,6 +66,14 @@ def test_parse_error_exits_3():
     assert run_command(["witt", "add", "--p", "2", "[t; t^]", "[t]"]) == (
         3, "error: ParseError: at offset 6: found ']' (expected an integer)"
     )
+    # ram analyze counts leading blanks, like every other leaf
+    for argv in (["ram", "analyze", "--p", "2"], ["witt", "neg", "--p", "2"]):
+        assert run_command(argv + [" [t^]"]) == (
+            3, "error: ParseError: at offset 4: found ']' (expected an integer)"
+        )
+    assert run_command(["ram", "analyze", "--p", "2", " t^"]) == (
+        3, "error: ParseError: at offset 3: found '' (expected an integer)"
+    )
 
 
 def test_deeply_nested_brackets_end_in_an_answer():

@@ -105,6 +105,9 @@ def test_parse_error_offsets_count_from_the_literal_start():
          "found ')' (expected an integer)"),
         (parse_element, "[[0]; t + t^)", F2, 12,
          "found ')' (expected an integer)"),
+        # leading blanks count too
+        (parse_element, " [t^]", F2, 4, "found ']' (expected an integer)"),
+        (parse_element, "  t^", F2, 4, "found '' (expected an integer)"),
     ):
         with pytest.raises(ParseError) as exc:
             parse(text, spec)

@@ -1,6 +1,7 @@
 """Laurent series with tracked precision windows."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -17,7 +18,10 @@ from wittram.valued import (
     pth_root,
 )
 
-from conftest import ALL_SPECS, F2, F2U, F3, F3U, L
+from conftest import ALL_SPECS, F2, F2U, F3, F3U, F5, L
+from oracles import ring_one_power
+
+F5U = FieldSpec(5, FieldKind.RATIONAL)
 
 
 def test_leading_data():
@@ -105,6 +109,72 @@ def test_negative_powers():
     a = L("t^-2 + 1", F3)
     assert a ** -2 == (a.inverse() * a.inverse())
     assert a ** 0 == LaurentElem.one(F3)
+
+
+def _power_bases(spec, rng):
+    """Apparent zeros; series with v < 0 and v > 0 at precisions below,
+    at and above DEFAULT_PRECISION; and sparse series with valuations
+    near the exponent limit p^2 * max(|N|, DEFAULT_PRECISION)."""
+    p = spec.p
+    rational = spec.kind is FieldKind.RATIONAL
+
+    def coeff(den=(1,)):
+        if not rational:
+            return spec.from_int(rng.randrange(1, p))
+        return spec.element([rng.randrange(p), rng.randrange(1, p)], den)
+
+    for n in (-7, 0, 40, 64, 90):
+        yield LaurentElem.zero(spec, n)
+    for n in (20, 63, 64, 65, 100):
+        # relative precision at most 24 over F_p(u): the coefficient
+        # degrees of a power grow fast
+        v = max(rng.randint(-6, 6), n - 24) if rational else rng.randint(-6, 6)
+        terms = {v + rng.randint(1, 12): coeff() for _ in range(3)}
+        terms[v] = coeff((rng.randrange(1, p), 1))
+        yield LaurentElem(spec, terms, n)
+    limit = p * p * DEFAULT_PRECISION
+    for v, n in ((-limit, 30), (-limit + 7, -200), (-limit - 44, 2 * limit + 88),
+                 (-300, 600), (-limit // 2, 2)):
+        yield LaurentElem(spec, {v: coeff(), v + (n - v) // 2: coeff()}, n)
+
+
+def _power_outcome(f):
+    try:
+        x = f()
+    except (LimitExceeded, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+    return x.terms, x.precision
+
+
+@pytest.mark.parametrize("spec", (F2, F2U, F3, F3U, F5, F5U), ids=repr)
+def test_power_matches_square_and_multiply_from_ring_one(spec):
+    # The terms, the O(t^N) and any error message are those of the
+    # square-and-multiply loop started at ring_one().  Over F_2 the series
+    # with v = -300 and N = 600 has x ** 3 take that loop: a base-p factor
+    # cut near precision 0 trips the exponent limit, the loop does not.
+    rng = random.Random(spec.p * 10 + (spec.kind is FieldKind.RATIONAL))
+    for x in _power_bases(spec, rng):
+        exponents = range(-3, 70)
+        if spec.kind is FieldKind.RATIONAL and not x.is_apparent_zero:
+            exponents = sorted({-3, -1, 0, 1, 2, 3, spec.p, spec.p ** 2}
+                               | set(rng.sample(exponents, 6)))
+        for e in exponents:
+            got = _power_outcome(lambda: x ** e)
+            want = _power_outcome(lambda: ring_one_power(x, e))
+            assert got == want, (str(x), e)
+
+
+def test_p_power_exponents_multiply_no_series(monkeypatch):
+    products = []
+    mul = LaurentElem.__mul__
+    monkeypatch.setattr(
+        LaurentElem, "__mul__", lambda a, b: products.append(1) or mul(a, b)
+    )
+    for spec in (F2, F3U, F5):
+        x = L("t^-1 + 1 + t^2", spec)
+        for k in range(4):
+            assert (x ** spec.p ** k).val() == -(spec.p ** k)
+    assert not products
 
 
 def test_from_residue():
