@@ -52,6 +52,12 @@ def _psub(a, b, p):
 def _pmul(a, b, p):
     if not a or not b:
         return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        # a nonzero constant times a trimmed polynomial stays trimmed
+        c = a[0]
+        return b if c == 1 else tuple((c * x) % p for x in b)
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -100,6 +106,9 @@ def _pdivmod(a, b, p):
 
 
 def _pgcd(a, b, p):
+    if len(a) == 1 or len(b) == 1:
+        # a nonzero constant is a unit; a zero operand is not a constant
+        return (1,)
     while b:
         _, r = _pdivmod(a, b, p)
         a, b = b, r
@@ -134,10 +143,17 @@ class FieldKind(enum.Enum):
     RATIONAL = "fp-u"
 
 
+# _CONSTANTS[p, kind][c] is the canonical element c of F_p, for c in
+# [0, p): one table per field, built by its first FieldSpec and shared by
+# every equal one.  A table per FieldSpec would make each spec a cycle
+# (spec -> table -> element -> spec) that only a full collection frees.
+_CONSTANTS = {}
+
+
 class FieldSpec:
     """Identifies a residue field: the prime p and the field kind."""
 
-    __slots__ = ("p", "kind")
+    __slots__ = ("p", "kind", "_constants")
 
     def __init__(self, p, kind=FieldKind.PRIME):
         if not _is_prime(p):
@@ -146,6 +162,12 @@ class FieldSpec:
             kind = FieldKind(kind)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "kind", kind)
+        constants = _CONSTANTS.get((p, kind))
+        if constants is None:
+            constants = _CONSTANTS[p, kind] = tuple(
+                ResidueElem._raw(self, (c,) if c else (), (1,)) for c in range(p)
+            )
+        object.__setattr__(self, "_constants", constants)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
@@ -166,14 +188,13 @@ class FieldSpec:
     # -- element factories --------------------------------------------------
 
     def zero(self):
-        return ResidueElem._raw(self, (), (1,))
+        return self._constants[0]
 
     def one(self):
-        return ResidueElem._raw(self, (1,), (1,))
+        return self._constants[1]
 
     def from_int(self, c):
-        c %= self.p
-        return ResidueElem._raw(self, (c,) if c else (), (1,))
+        return self._constants[c % self.p]
 
     def u(self):
         if self.kind is not FieldKind.RATIONAL:

@@ -19,6 +19,12 @@ Precision propagation rules (tested exactly in the suite):
 Equality means "indistinguishable at the shared precision": all
 coefficients below min(Na, Nb) agree.  Laurent elements are therefore
 not hashable.
+
+Over F_p, sums, negatives, products, integer scalings, inverses and
+p-th powers compute on the integers c.num[0], reduce mod p once per
+output exponent and map each result back to the field's canonical
+constant; over F_p(u) they combine ResidueElem coefficients.  The
+precision rules above are the same on both paths.
 """
 
 import math
@@ -33,6 +39,8 @@ from .errors import (
 )
 
 DEFAULT_PRECISION = 64
+
+_PRIME = _coeff.FieldKind.PRIME
 
 
 class LaurentElem:
@@ -57,6 +65,33 @@ class LaurentElem:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentElem is immutable")
+
+    @classmethod
+    def _trusted(cls, spec, terms, precision):
+        # The caller guarantees what __init__ checks per term: every
+        # coefficient nonzero and of spec, every exponent below precision,
+        # in the order __init__ would meet them.  Only the exponent limit
+        # is left; an exponent below precision cannot exceed +limit.
+        if terms:
+            limit = spec.p * spec.p * max(abs(precision), DEFAULT_PRECISION)
+            if min(terms) < -limit:
+                e = next(e for e in terms if e < -limit)
+                raise LimitExceeded(f"exponent {e} outside the desk-scale range")
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "spec", spec)
+        object.__setattr__(obj, "terms", terms)
+        object.__setattr__(obj, "precision", precision)
+        return obj
+
+    @classmethod
+    def _from_ints(cls, spec, ints, precision):
+        # Over F_p: integer coefficients keyed by exponent, reduced mod p
+        # once each; zeros and exponents at or above precision are dropped.
+        p = spec.p
+        table = spec._constants
+        return cls._trusted(spec, {
+            e: table[r] for e, c in ints.items() if e < precision and (r := c % p)
+        }, precision)
 
     # -- constructors ---------------------------------------------------------
 
@@ -110,7 +145,11 @@ class LaurentElem:
             raise UnsupportedInput("cannot raise precision after the fact")
         if precision == self.precision:
             return self
-        return LaurentElem(self.spec, self.terms, precision)
+        return LaurentElem._trusted(
+            self.spec,
+            {e: c for e, c in self.terms.items() if e < precision},
+            precision,
+        )
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -122,17 +161,31 @@ class LaurentElem:
 
     def __add__(self, other):
         self._check(other)
+        spec = self.spec
         precision = min(self.precision, other.precision)
+        if spec.kind is _PRIME:
+            ints = {e: c.num[0] for e, c in self.terms.items()}
+            for e, c in other.terms.items():
+                ints[e] = ints.get(e, 0) + c.num[0]
+            return LaurentElem._from_ints(spec, ints, precision)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             cur = terms.get(e)
             terms[e] = c if cur is None else cur + c
-        return LaurentElem(self.spec, terms, precision)
+        return LaurentElem._trusted(
+            spec,
+            {e: c for e, c in terms.items() if e < precision and c.num},
+            precision,
+        )
 
     def __neg__(self):
-        return LaurentElem(
-            self.spec, {e: -c for e, c in self.terms.items()}, self.precision
-        )
+        spec = self.spec
+        if spec.kind is _PRIME:
+            p, table = spec.p, spec._constants
+            terms = {e: table[p - c.num[0]] for e, c in self.terms.items()}
+        else:
+            terms = {e: -c for e, c in self.terms.items()}
+        return LaurentElem._trusted(spec, terms, self.precision)
 
     def __sub__(self, other):
         return self + (-other)
@@ -142,6 +195,17 @@ class LaurentElem:
         va = self.val_lower_bound()
         vb = other.val_lower_bound()
         precision = min(va + other.precision, vb + self.precision)
+        spec = self.spec
+        if spec.kind is _PRIME:
+            ints = {}
+            right = [(eb, cb.num[0]) for eb, cb in other.terms.items()]
+            for ea, ca in self.terms.items():
+                ca = ca.num[0]
+                for eb, cb in right:
+                    e = ea + eb
+                    if e < precision:
+                        ints[e] = ints.get(e, 0) + ca * cb
+            return LaurentElem._from_ints(spec, ints, precision)
         terms = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -151,7 +215,9 @@ class LaurentElem:
                 prod = ca * cb
                 cur = terms.get(e)
                 terms[e] = prod if cur is None else cur + prod
-        return LaurentElem(self.spec, terms, precision)
+        return LaurentElem._trusted(
+            spec, {e: c for e, c in terms.items() if c.num}, precision
+        )
 
     def scale(self, c):
         """Multiply by a residue-field scalar (exact, keeps precision)."""
@@ -160,8 +226,13 @@ class LaurentElem:
         )
 
     def scale_int(self, c):
+        spec = self.spec
+        if spec.kind is _PRIME:
+            return LaurentElem._from_ints(
+                spec, {e: x.num[0] * c for e, x in self.terms.items()}, self.precision
+            )
         return LaurentElem(
-            self.spec,
+            spec,
             {e: x.scale_int(c) for e, x in self.terms.items()},
             self.precision,
         )
@@ -179,6 +250,23 @@ class LaurentElem:
         lead_inv = self.terms[v].inverse()
         if len(self.terms) == 1:
             return LaurentElem(self.spec, {-v: lead_inv}, self.precision - 2 * v)
+        if self.spec.kind is _PRIME:
+            # the recursion below, on ints reduced mod p
+            p = self.spec.p
+            lead_inv = lead_inv.num[0]
+            unit = {e - v: c.num[0] for e, c in self.terms.items()}
+            offsets = sorted(unit)[1:]
+            q = [lead_inv]
+            for k in range(1, rel):
+                acc = 0
+                for off in offsets:
+                    if off > k:
+                        break
+                    acc += unit[off] * q[k - off]
+                q.append(-lead_inv * acc % p)
+            return LaurentElem._from_ints(
+                self.spec, {k - v: c for k, c in enumerate(q)}, self.precision - 2 * v
+            )
         q = [lead_inv]
         offsets = sorted(e - v for e in self.terms)
         for k in range(1, rel):
@@ -332,11 +420,11 @@ def pth_power(a):
     Over F_p every coefficient is its own p-th power.
     """
     p = a.spec.p
-    if a.spec.kind is _coeff.FieldKind.PRIME:
+    if a.spec.kind is _PRIME:
         terms = {e * p: c for e, c in a.terms.items()}
     else:
         terms = {e * p: c ** p for e, c in a.terms.items()}
-    return LaurentElem(a.spec, terms, a.precision * p)
+    return LaurentElem._trusted(a.spec, terms, a.precision * p)
 
 
 def pth_root(a):

@@ -10,6 +10,7 @@ import itertools
 from wittram.coeff import FieldKind, ResidueElem
 from wittram.errors import PrecisionExhausted
 from wittram.extension import ExtensionElem
+from wittram.valued import LaurentElem
 
 
 def _laurent_det(rows):
@@ -90,6 +91,83 @@ def ring_one_power(x, e):
             x = x * x
         e >>= 1
     return out
+
+
+# Series arithmetic one ResidueElem coefficient at a time, every result
+# built through the checking LaurentElem constructor: the reference for
+# the values, precision, term order and errors of the integer kernel
+# LaurentElem uses over F_p.
+
+def series_add(a, b):
+    a._check(b)
+    precision = min(a.precision, b.precision)
+    terms = dict(a.terms)
+    for e, c in b.terms.items():
+        cur = terms.get(e)
+        terms[e] = c if cur is None else cur + c
+    return LaurentElem(a.spec, terms, precision)
+
+
+def series_neg(a):
+    return LaurentElem(a.spec, {e: -c for e, c in a.terms.items()}, a.precision)
+
+
+def series_sub(a, b):
+    return series_add(a, series_neg(b))
+
+
+def series_mul(a, b):
+    a._check(b)
+    va = a.val_lower_bound()
+    vb = b.val_lower_bound()
+    precision = min(va + b.precision, vb + a.precision)
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = ea + eb
+            if e >= precision:
+                continue
+            prod = ca * cb
+            cur = terms.get(e)
+            terms[e] = prod if cur is None else cur + prod
+    return LaurentElem(a.spec, terms, precision)
+
+
+def series_scale_int(a, c):
+    return LaurentElem(
+        a.spec, {e: x.scale_int(c) for e, x in a.terms.items()}, a.precision
+    )
+
+
+def series_inverse(a):
+    if not a.terms:
+        raise PrecisionExhausted("cannot invert an apparent zero")
+    v = a.val()
+    rel = a.precision - v
+    lead_inv = a.terms[v].inverse()
+    if len(a.terms) == 1:
+        return LaurentElem(a.spec, {-v: lead_inv}, a.precision - 2 * v)
+    q = [lead_inv]
+    offsets = sorted(e - v for e in a.terms)
+    for k in range(1, rel):
+        acc = None
+        for off in offsets:
+            if off == 0 or off > k:
+                continue
+            contrib = a.terms[v + off] * q[k - off]
+            acc = contrib if acc is None else acc + contrib
+        q.append(a.spec.zero() if acc is None else -(lead_inv * acc))
+    terms = {-v + k: c for k, c in enumerate(q)}
+    return LaurentElem(a.spec, terms, a.precision - 2 * v)
+
+
+def series_pth_power(a):
+    p = a.spec.p
+    if a.spec.kind is FieldKind.PRIME:
+        terms = {e * p: c for e, c in a.terms.items()}
+    else:
+        terms = {e * p: c ** p for e, c in a.terms.items()}
+    return LaurentElem(a.spec, terms, a.precision * p)
 
 
 def _residue_candidates(spec, max_deg):

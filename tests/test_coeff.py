@@ -1,5 +1,7 @@
 """Residue-field arithmetic: canonical forms, roots, coboundary tests."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -8,6 +10,9 @@ from wittram.coeff import (
     FieldKind,
     FieldSpec,
     ResidueElem,
+    _pdivmod,
+    _pgcd,
+    _pmul,
     build_disjoint_classes,
     in_AS_image,
     nth_root,
@@ -172,7 +177,7 @@ def test_prime_field_agrees_with_int_arithmetic(p):
         if x:
             _assert_is_int(a.inverse(), spec, pow(x, -1, p))
         for y in range(p):
-            b = twin.from_int(y)
+            b = ResidueElem(twin, (y,), (1,))
             _assert_is_int(a + b, spec, x + y)
             _assert_is_int(a - b, spec, x - y)
             _assert_is_int(a * b, spec, x * y)
@@ -185,3 +190,30 @@ def test_mixed_specs_still_raise():
         for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: a / b):
             with pytest.raises(SpecMismatch):
                 op()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_polynomial_products_and_gcds_with_constants(p):
+    # Every trimmed polynomial of degree <= 2: a product with a constant
+    # is the schoolbook product, a gcd with a nonzero constant is 1, and
+    # the zero polynomial is no constant: gcd(0, g) = monic(g).
+    polys = [()] + [
+        tuple(cs) for n in (1, 2, 3)
+        for cs in itertools.product(range(p), repeat=n) if cs[-1]
+    ]
+    for a, b in itertools.product(polys, repeat=2):
+        want = [0] * (len(a) + len(b) - 1) if a and b else []
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            want[i + j] = (want[i + j] + x * y) % p
+        assert _pmul(a, b, p) == tuple(want)
+        g = _pgcd(a, b, p)
+        if len(a) == 1 or len(b) == 1:
+            assert g == (1,)
+        elif a or b:
+            assert g[-1] == 1
+            assert all(not _pdivmod(x, g, p)[1] for x in (a, b))
+    for g in polys[1:]:
+        inv = pow(g[-1], -1, p)
+        monic = tuple(c * inv % p for c in g)
+        assert _pgcd((), g, p) == _pgcd(g, (), p) == monic
+

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from wittram.coeff import FieldKind, FieldSpec
+from wittram.coeff import FieldKind, FieldSpec, ResidueElem
 from wittram.errors import LimitExceeded, PrecisionExhausted, SpecMismatch
 from wittram.valued import (
     DEFAULT_PRECISION,
@@ -19,9 +19,19 @@ from wittram.valued import (
 )
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U, F5, L
-from oracles import ring_one_power
+from oracles import (
+    ring_one_power,
+    series_add,
+    series_inverse,
+    series_mul,
+    series_neg,
+    series_pth_power,
+    series_scale_int,
+)
 
 F5U = FieldSpec(5, FieldKind.RATIONAL)
+F7 = FieldSpec(7)
+SERIES_SPECS = ALL_SPECS + (F5,)
 
 
 def test_leading_data():
@@ -177,6 +187,106 @@ def test_p_power_exponents_multiply_no_series(monkeypatch):
     assert not products
 
 
+def _kernel_operands(spec, rng):
+    """Series over F_p for the integer kernel: apparent zeros; sparse and
+    dense series at precisions below, at and above DEFAULT_PRECISION;
+    terms at the exponent limit p^2 * max(|N|, DEFAULT_PRECISION); deep
+    series whose sums, products or p-th powers leave that range, with
+    their terms out of exponent order; and series over an equal spec
+    that is a distinct object."""
+    p = spec.p
+    twin = FieldSpec(p)
+
+    def series(exps, n, over=spec):
+        return LaurentElem(
+            spec, {e: ResidueElem(over, (rng.randrange(1, p),), (1,)) for e in exps}, n
+        )
+
+    for n in (-5, 0, 30, 64, 100):
+        yield LaurentElem.zero(spec, n)
+    for n in (20, 63, 64, 65, 130):
+        v = rng.randint(-8, 8)
+        yield series(rng.sample(range(v, v + 16), 3), n)
+        if n in (20, 64, 130):
+            yield series(range(v, min(n, v + 90)), n)
+    limit = p * p * DEFAULT_PRECISION
+    yield series((-limit + 1, -limit, -limit + 9), DEFAULT_PRECISION)
+    for deep in (40 * p * p, 70 * p * p):
+        yield series((-deep + 5, -deep, -deep + 2, 3), deep)
+    shallow = 64 * p + 5
+    yield series((-shallow + 4, -shallow, 0), 1)
+    yield series(rng.sample(range(-4, 12), 4), 64, over=twin)
+    yield LaurentElem(twin, {-1: ResidueElem(twin, (1,), (1,)), 2: spec.one()}, 40)
+
+
+def _outcome(f):
+    try:
+        x = f()
+    except (LimitExceeded, PrecisionExhausted, SpecMismatch, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    return list(x.terms.items()), x.precision
+
+
+def _assert_canonical(x, spec):
+    for c in x.terms.values():
+        assert c.spec == spec and c.den == (1,)
+        assert len(c.num) == 1 and 0 < c.num[0] < spec.p
+
+
+@pytest.mark.parametrize("spec", (F2, F3, F5, F7), ids=repr)
+def test_fp_kernel_matches_coefficient_loops(spec):
+    # Terms in the same order, precision, LimitExceeded text and the
+    # TypeError/SpecMismatch precedence of the ResidueElem loops in
+    # oracles.py; every kernel coefficient is a canonical (c,)/(1,).
+    rng = random.Random(spec.p)
+    xs = list(_kernel_operands(spec, rng))
+    others = [3, "t", L("t", FieldSpec(spec.p, FieldKind.RATIONAL)),
+              L("t^-1", F7 if spec.p != 7 else F2)]
+    unary = [
+        (lambda x: -x, series_neg),
+        (lambda x: x.inverse(), series_inverse),
+        (pth_power, series_pth_power),
+    ] + [
+        (lambda x, c=c: x.scale_int(c), lambda x, c=c: series_scale_int(x, c))
+        for c in (0, 1, 2, spec.p - 1, spec.p, -1, 3 * spec.p + 2, 10 ** 20 + 1)
+    ]
+    binary = [
+        (lambda x, y: x + y, series_add),
+        (lambda x, y: x - y, lambda x, y: series_add(x, series_neg(y))),
+        (lambda x, y: x * y, series_mul),
+    ]
+    checked = 0
+    for x in xs:
+        for op, ref in unary:
+            got = _outcome(lambda: op(x))
+            assert got == _outcome(lambda: ref(x)), str(x)
+            checked += 1
+        for y in xs + others:
+            for op, ref in binary:
+                if not isinstance(y, LaurentElem) and op is binary[1][0]:
+                    continue
+                got = _outcome(lambda: op(x, y))
+                assert got == _outcome(lambda: ref(x, y)), (str(x), str(y))
+                if isinstance(got[0], list):
+                    _assert_canonical(op(x, y), spec)
+                checked += 1
+    assert checked > 1000
+
+
+def test_fp_series_arithmetic_makes_no_residue_sums_or_products(monkeypatch):
+    xs = [L("t^-1 + 2 + t^2", spec) for spec in (F2, F3, F5)]
+    ys = [L("t^-2 + 3*t + t^3", spec) for spec in (F2, F3, F5)]
+    calls = []
+    for name in ("__mul__", "__add__"):
+        method = getattr(ResidueElem, name)
+        monkeypatch.setattr(
+            ResidueElem, name, lambda a, b, f=method: calls.append(1) or f(a, b)
+        )
+    for x, y in zip(xs, ys):
+        x * y, x + y, x - y, x.scale_int(2), x.inverse(), (x * y).inverse()
+    assert not calls
+
+
 def test_from_residue():
     c = F3U.u() + F3U.one()
     a = LaurentElem.from_residue(c)
@@ -191,7 +301,7 @@ def test_specs_combine_by_value():
     b = L("2*t^-1 + t^2", twin)
     assert a + b == L("2*t + t^2", F3)
     assert a * b == L("2*t^-2 + 1 + t + 2*t^3", F3)
-    assert LaurentElem(F3, {0: twin.one()}) == LaurentElem.one(F3)
+    assert LaurentElem(F3, {0: ResidueElem(twin, (1,), (1,))}) == LaurentElem.one(F3)
     for other in (L("t", F3U), L("t", F2)):
         for op in (lambda: a + other, lambda: a * other):
             with pytest.raises(SpecMismatch):
@@ -224,9 +334,8 @@ pair_lists = st.lists(
 )
 
 
-@given(xs=pair_lists, ys=pair_lists, zs=pair_lists, which=st.integers(0, 3))
-def test_ring_laws(xs, ys, zs, which):
-    spec = ALL_SPECS[which]
+@given(xs=pair_lists, ys=pair_lists, zs=pair_lists, spec=st.sampled_from(SERIES_SPECS))
+def test_ring_laws(xs, ys, zs, spec):
     a = _laurent(spec, xs, DEFAULT_PRECISION)
     b = _laurent(spec, ys, DEFAULT_PRECISION)
     c = _laurent(spec, zs, DEFAULT_PRECISION)
@@ -237,17 +346,15 @@ def test_ring_laws(xs, ys, zs, which):
     assert a - a == LaurentElem.zero(spec)
 
 
-@given(xs=pair_lists, ys=pair_lists, which=st.integers(0, 3))
-def test_frobenius_is_additive(xs, ys, which):
-    spec = ALL_SPECS[which]
+@given(xs=pair_lists, ys=pair_lists, spec=st.sampled_from(SERIES_SPECS))
+def test_frobenius_is_additive(xs, ys, spec):
     a = _laurent(spec, xs, DEFAULT_PRECISION)
     b = _laurent(spec, ys, DEFAULT_PRECISION)
     assert pth_power(a + b) == pth_power(a) + pth_power(b)
 
 
-@given(xs=pair_lists, ys=pair_lists, which=st.integers(0, 3))
-def test_val_is_additive_on_products(xs, ys, which):
-    spec = ALL_SPECS[which]
+@given(xs=pair_lists, ys=pair_lists, spec=st.sampled_from(SERIES_SPECS))
+def test_val_is_additive_on_products(xs, ys, spec):
     a = _laurent(spec, xs, DEFAULT_PRECISION)
     b = _laurent(spec, ys, DEFAULT_PRECISION)
     if a.is_apparent_zero or b.is_apparent_zero:
@@ -255,9 +362,8 @@ def test_val_is_additive_on_products(xs, ys, which):
     assert (a * b).val() == a.val() + b.val()
 
 
-@given(xs=pair_lists, which=st.integers(0, 3))
-def test_inverse_roundtrip(xs, which):
-    spec = ALL_SPECS[which]
+@given(xs=pair_lists, spec=st.sampled_from(SERIES_SPECS))
+def test_inverse_roundtrip(xs, spec):
     a = _laurent(spec, xs, DEFAULT_PRECISION)
     if a.is_apparent_zero:
         return
