@@ -69,9 +69,10 @@ class LaurentElem:
     @classmethod
     def _trusted(cls, spec, terms, precision):
         # The caller guarantees what __init__ checks per term: every
-        # coefficient nonzero and of spec, every exponent below precision,
-        # in the order __init__ would meet them.  Only the exponent limit
-        # is left; an exponent below precision cannot exceed +limit.
+        # coefficient nonzero and of a spec equal to spec, every exponent
+        # below precision, and the terms in the order __init__ would have
+        # met them, so a LimitExceeded names the same exponent.  Only the
+        # exponent limit is checked; below precision, +limit is out of reach.
         if terms:
             limit = spec.p * spec.p * max(abs(precision), DEFAULT_PRECISION)
             if min(terms) < -limit:
