@@ -198,15 +198,16 @@ class LaurentElem:
         precision = min(va + other.precision, vb + self.precision)
         spec = self.spec
         if spec.kind is _PRIME:
-            ints = {}
-            right = [(eb, cb.num[0]) for eb, cb in other.terms.items()]
-            for ea, ca in self.terms.items():
-                ca = ca.num[0]
-                for eb, cb in right:
-                    e = ea + eb
-                    if e < precision:
-                        ints[e] = ints.get(e, 0) + ca * cb
-            return LaurentElem._from_ints(spec, ints, precision)
+            ints = mul_ints(
+                {e: c.num[0] for e, c in self.terms.items()},
+                {e: c.num[0] for e, c in other.terms.items()},
+                precision,
+                spec.p,
+            )
+            table = spec._constants
+            return LaurentElem._trusted(
+                spec, {e: table[c] for e, c in ints.items()}, precision
+            )
         terms = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -328,6 +329,20 @@ class LaurentElem:
 
     def __repr__(self):
         return f"LaurentElem({self!s})"
+
+
+def mul_ints(a, b, precision, p):
+    """The product of two F_p series given as {exponent: int} dicts,
+    below t^precision: coefficients reduced mod p, zeros dropped, and the
+    exponents in the order the term products first reach them."""
+    out = {}
+    right = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in right:
+            e = ea + eb
+            if e < precision:
+                out[e] = out.get(e, 0) + ca * cb
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
 def binary_power(x, e, one):

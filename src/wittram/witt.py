@@ -7,6 +7,14 @@ evaluates those polynomials on components drawn from any coefficient
 ring here (residue elements or Laurent series); each law's integer
 coefficients are reduced mod p once, when the law is first used.
 
+Over F_p the group law runs on {exponent: int} dicts: each argument's
+powers are built once per call as series, one product per power, and
+unwrapped to ints; then each component takes two passes, one folding
+the precision over every monomial (those that vanish mod p included)
+and one multiplying out the others on ints, wrapped as a series once.
+Residue components, F_p(u) series and mixed operands go through the
+series operators; see _eval_law.
+
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
 """
@@ -14,13 +22,20 @@ polynomials outgrow the desk scale this package targets.
 import functools
 import math
 
+from .coeff import FieldKind
 from .errors import (
     InternalInexactDivision,
     LimitExceeded,
     ShapeMismatch,
     SpecMismatch,
 )
-from .valued import DEFAULT_PRECISION, LaurentElem, binary_power, frobenius_power
+from .valued import (
+    DEFAULT_PRECISION,
+    LaurentElem,
+    binary_power,
+    frobenius_power,
+    mul_ints,
+)
 
 _MAX_M = 4
 _MAX_P = 5
@@ -280,9 +295,10 @@ class _LawModP:
     """A law's Z-polynomials, with each monomial kept as (factors, c):
     factors lists its (variable, exponent) pairs with exponent > 0 in
     variable order, c is its coefficient reduced mod p, and the monomials
-    keep the Z-polynomials' order."""
+    keep the Z-polynomials' order.  tops holds each variable's largest
+    exponent.  A law vanishes at zero, so no monomial is constant."""
 
-    __slots__ = ("monomials", "degree")
+    __slots__ = ("monomials", "degree", "tops")
 
     def __init__(self, polys, p):
         self.monomials = tuple(
@@ -294,6 +310,10 @@ class _LawModP:
         )
         self.degree = max(
             (sum(mono) for poly in polys for mono in poly.terms), default=0
+        )
+        self.tops = tuple(
+            max((mono[i] for poly in polys for mono in poly.terms), default=0)
+            for i in range(polys[0].nvars)
         )
 
 
@@ -314,41 +334,120 @@ def _power(powers, args, f):
     return x
 
 
-def _skipped_precision(factors, powers, args):
-    """The precision the product of a skipped monomial would have had.
-    Valuation lower bounds add under products, each of which keeps
-    valued's min(va + Nb, vb + Na)."""
-    if not factors:
-        return args[0].ring_one().precision
-    x = _power(powers, args, factors[0])
-    v, n = x.val_lower_bound(), x.precision
-    for f in factors[1:]:
-        x = _power(powers, args, f)
-        vx, nx = x.val_lower_bound(), x.precision
+def _product_precision(pairs):
+    """The precision of a product of factors with these (valuation bound,
+    precision) pairs: valuation bounds add under products, each of which
+    keeps valued's min(va + Nb, vb + Na)."""
+    pairs = iter(pairs)
+    v, n = next(pairs)
+    for vx, nx in pairs:
         v, n = v + vx, min(v + nx, vx + n)
     return n
+
+
+def _skipped_precision(factors, powers, args):
+    """The precision the product of a skipped monomial would have had."""
+    if not factors:
+        return args[0].ring_one().precision
+    return _product_precision(
+        (x.val_lower_bound(), x.precision)
+        for x in (_power(powers, args, f) for f in factors)
+    )
+
+
+def _power_table(x, top):
+    """[None, x ** 1, ..., x ** top], each with the terms and precision **
+    gives it, at one series product per power: x ** 1 is x cut to
+    min(N, v + max(N, 64)), and valued's product rule then carries
+    x ** e = x ** (e - 1) * x ** 1 to e*v + min(max(N, 64), N - v), or to
+    e*N for an apparent zero, which stays as it is."""
+    row = [None]
+    if top:
+        if x.terms:
+            n = x.precision
+            x = x.truncated(min(n, min(x.terms) + max(n, DEFAULT_PRECISION)))
+        row.append(x)
+        for _ in range(top - 1):
+            row.append(row[-1] * x)
+    return row
+
+
+def _eval_law_fp(law, args):
+    """_eval_law on series over one F_p spec, on {exponent: int} dicts."""
+    spec = args[0].spec
+    p = spec.p
+    # per variable and exponent: (valuation bound, precision, int terms)
+    table = [
+        [None] + [
+            (y.val_lower_bound(), y.precision,
+             {e: c.num[0] for e, c in y.terms.items()})
+            for y in _power_table(x, top)[1:]
+        ]
+        for x, top in zip(args, law.tops)
+    ]
+    out = []
+    for monomials in law.monomials:
+        rows = [([table[i][e] for i, e in factors], c) for factors, c in monomials]
+        # precision: over every monomial, those that vanish mod p included
+        cut = min(
+            _product_precision((v, n) for v, n, _ in entries)
+            for entries, _ in rows
+        )
+        # values: a partial product is kept only below cut minus the
+        # valuations of the factors still to come, which is never above
+        # the precision the product itself has
+        acc = {}
+        for entries, c in rows:
+            if c == 0 or not all(terms for _, _, terms in entries):
+                continue
+            rest = sum(v for v, _, _ in entries[1:])
+            ints = entries[0][2]
+            for v, _, terms in entries[1:]:
+                rest -= v
+                ints = mul_ints(ints, terms, cut - rest, p)
+            for e, x in ints.items():
+                acc[e] = acc.get(e, 0) + c * x
+        out.append(LaurentElem._from_ints(spec, acc, cut))
+    return out
 
 
 def _eval_law(law, args):
     """The law's components at args, equal term for term and in precision
     to IntPoly.evaluate on each of its Z-polynomials.
 
-    Each args[i] ** e is computed once per call.  A monomial whose
-    coefficient is 0 mod p adds nothing and is not multiplied out, but
-    for series its product would still have cut the precision of the
-    sum, so the sum is truncated to the precision that product would
-    have had.  Series reaching below t^(-p^2 * DEFAULT_PRECISION) could
-    trip valued's exponent limit inside a skipped product, so for them
-    those monomials are multiplied out too, and the law raises exactly
-    where IntPoly.evaluate does.
+    Series over one F_p spec whose lowest exponent times the law's
+    degree stays at or above -p^2 * DEFAULT_PRECISION take
+    _eval_law_fp: a table of powers args[i] ** e, one series product per
+    power, unwrapped to {exponent: int} dicts, then two passes per
+    component.  The first folds valued's product rule over the
+    (valuation, precision) pairs of every monomial, including those that
+    vanish mod p, whose product would still have cut the precision of
+    the sum; the minimum is the component's precision.  The second
+    multiplies out the other monomials on ints, reduced mod p after each
+    product, adds them into one dict and wraps it as one series.
+
+    Everything else keeps the series operators: residue components,
+    F_p(u) series, and operands of mixed kinds or specs, which raise
+    where IntPoly.evaluate raises.  There each args[i] ** e is computed
+    once per call, and a monomial that vanishes mod p is not multiplied
+    out, but the sum is truncated to the precision its product would
+    have had.  Series reaching below
+    t^(-p^2 * DEFAULT_PRECISION) could trip valued's exponent limit
+    inside a skipped product, so for them those monomials are multiplied
+    out too, and the law raises exactly where IntPoly.evaluate does.
     """
     first = args[0]
     series = all(isinstance(x, LaurentElem) for x in args)
     skip_zeros = True
     if series:
-        p = first.spec.p
+        spec = first.spec
+        p = spec.p
         low = min((min(x.terms) for x in args if x.terms), default=0)
         skip_zeros = low * law.degree >= -p * p * DEFAULT_PRECISION
+        if skip_zeros and spec.kind is FieldKind.PRIME and all(
+            x.spec is spec or x.spec == spec for x in args
+        ):
+            return _eval_law_fp(law, args)
     powers = {}
     out = []
     for monomials in law.monomials:

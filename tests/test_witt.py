@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from wittram.coeff import FieldKind, FieldSpec
+from wittram.coeff import FieldKind, FieldSpec, ResidueElem
 from wittram.errors import LimitExceeded, ShapeMismatch
 from wittram.valued import DEFAULT_PRECISION, LaurentElem
 from wittram.witt import (
@@ -23,6 +23,7 @@ from wittram.witt import (
     witt_add,
     witt_neg,
     witt_sub,
+    _power_table,
     _sum_law,
 )
 
@@ -235,6 +236,7 @@ _LAW_SHAPES = (
     (2, 1, 10), (2, 2, 10), (2, 3, 10), (2, 4, 8),
     (3, 1, 10), (3, 2, 10), (3, 3, 8),
     (5, 1, 10), (5, 2, 10), (5, 3, 4),
+    (3, 4, 2),
 )
 
 
@@ -315,3 +317,124 @@ def test_group_law_past_the_exponent_limit_matches_z_polynomials(p, m):
     assert -200 * _sum_law(p, m).degree < -p * p * DEFAULT_PRECISION
     _assert_same(witt_add(a, b), _reference_add(a, b))
     _assert_same(witt_neg(a), _reference_neg(a))
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 3)])
+def test_group_law_matches_z_polynomials_around_the_guard(p, m):
+    # Series over F_p take the integer path while their lowest exponent
+    # times the addition law's degree stays at or above -p^2 * 64; the
+    # first component puts it just inside, exactly on and just outside
+    # that guard.  The others have precision <= 0, are apparent zeros, or
+    # live over an equal FieldSpec that is a distinct object.
+    spec, twin = FieldSpec(p), FieldSpec(p)
+    edge, r = divmod(-p * p * DEFAULT_PRECISION, _sum_law(p, m).degree)
+    assert r == 0
+    one, two = spec.one(), spec.from_int(2)
+    rest = [
+        LaurentElem(spec, {-2: one, -1: two}, 0),
+        LaurentElem.zero(spec, -3),
+        LaurentElem(twin, {-1: one, 4: two}, 64),
+    ][:m - 1]
+    b = WittVector(p, m, [
+        LaurentElem(twin, {-3: two, 5: one}, 150),
+        LaurentElem.zero(twin, 40),
+        LaurentElem(twin, {2: ResidueElem(twin, (1,), (1,))}, -1),
+        LaurentElem(spec, {0: one}, 70),
+    ][:m])
+    for low in (edge + 1, edge, edge - 1):
+        a = WittVector(p, m, [LaurentElem(spec, {low: one, 1: two}, 300)] + rest)
+        for x, y in ((a, b), (b, a)):
+            outcomes = [
+                (_law_outcome(lambda: witt_add(x, y)),
+                 _law_outcome(lambda: _reference_add(x, y))),
+                (_law_outcome(lambda: witt_neg(x)),
+                 _law_outcome(lambda: _reference_neg(x))),
+                (_law_outcome(lambda: artin_schreier_map(x)),
+                 _law_outcome(lambda: _reference_as_map(x))),
+            ]
+            assert all(got == want for got, want in outcomes)
+            # Inside the guard and on it nothing leaves the exponent range.
+            # Past it, or in F(x), which reaches p times deeper, both sides
+            # may raise the same LimitExceeded.
+            if low >= edge:
+                assert all(isinstance(got, list) for got, _ in outcomes[:2])
+
+
+def _law_outcome(f):
+    try:
+        out = f()
+    except LimitExceeded as exc:
+        return str(exc)
+    return [(c.terms, c.precision) for c in out.components]
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3), FieldSpec(5)],
+                         ids=repr)
+def test_power_table_matches_pow(spec):
+    # every entry equal to x ** e term for term and in precision, up to
+    # the degree of the addition law at the largest length the laws take
+    top = _sum_law(spec.p, 4 if spec.p < 5 else 3).degree
+    one, two = spec.one(), spec.from_int(2)
+    xs = [
+        LaurentElem(spec, {-3: one, 1: two, 7: one}, 64),
+        LaurentElem(spec, {-1: two, 0: one}, 20),
+        LaurentElem(spec, {-2: one, 5: one}, 100),
+        LaurentElem(spec, {0: two, 3: one}, 64),
+        LaurentElem(spec, {2: one, 5: two}, 20),
+        LaurentElem(spec, {1: one, 4: one}, 90),
+        LaurentElem(spec, {-4: one}, -2),
+        LaurentElem.zero(spec, 30),
+        LaurentElem.zero(spec, 80),
+        LaurentElem.zero(spec, -5),
+    ]
+    for x in xs:
+        row = _power_table(x, top)
+        assert len(row) == top + 1 and row[0] is None
+        for e in range(1, top + 1):
+            want = x ** e
+            assert (row[e].terms, row[e].precision) == (want.terms, want.precision)
+
+
+def _count_calls(monkeypatch, cls, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        method = getattr(cls, name)
+
+        def counted(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_fp_group_law_makes_one_series_product_per_table_power(monkeypatch):
+    a = W("[t^-1 + 2*t; t^-2 + t^3; 2 + t]", F3)
+    b = W("[t^-2 + t; 2*t^-1 + t^4; t^-1]", F3)
+    polys = sum_polys(3, 3)
+    table_powers = sum(
+        max(mono[i] for s in polys for mono in s.terms) for i in range(6)
+    )
+    series = _count_calls(
+        monkeypatch, LaurentElem, ("__add__", "__mul__", "__pow__", "scale_int")
+    )
+    residue = _count_calls(
+        monkeypatch, ResidueElem,
+        ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale_int",
+         "inverse"),
+    )
+    got = witt_add(a, b)
+    assert series["__add__"] == series["__pow__"] == series["scale_int"] == 0
+    assert 0 < series["__mul__"] <= table_powers
+    assert not any(residue.values())
+    monkeypatch.undo()
+    _assert_same(got, _reference_add(a, b))
+
+
+def test_fp_u_group_law_keeps_the_series_operators(monkeypatch):
+    f3u = FieldSpec(3, FieldKind.RATIONAL)
+    a = W("[u*t^-1 + t; t^-2]", f3u)
+    b = W("[t^-2 + u; (u + 1)*t^-1]", f3u)
+    series = _count_calls(monkeypatch, LaurentElem, ("__add__", "__pow__"))
+    witt_add(a, b)
+    assert series["__add__"] > 0 and series["__pow__"] > 0
