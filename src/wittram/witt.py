@@ -356,19 +356,17 @@ def _skipped_precision(factors, powers, args):
 
 
 def _power_table(x, top):
-    """[None, x ** 1, ..., x ** top], each with the terms and precision **
-    gives it, at one series product per power: x ** 1 is x cut to
-    min(N, v + max(N, 64)), and valued's product rule then carries
+    """[x ** 1, ..., x ** top] for top >= 1, each with the terms and
+    precision ** gives it, at one series product per power: x ** 1 is x
+    cut to min(N, v + max(N, 64)), and valued's product rule then carries
     x ** e = x ** (e - 1) * x ** 1 to e*v + min(max(N, 64), N - v), or to
     e*N for an apparent zero, which stays as it is."""
-    row = [None]
-    if top:
-        if x.terms:
-            n = x.precision
-            x = x.truncated(min(n, min(x.terms) + max(n, DEFAULT_PRECISION)))
-        row.append(x)
-        for _ in range(top - 1):
-            row.append(row[-1] * x)
+    if x.terms:
+        n = x.precision
+        x = x.truncated(min(n, min(x.terms) + max(n, DEFAULT_PRECISION)))
+    row = [x]
+    while len(row) < top:
+        row.append(row[-1] * x)
     return row
 
 
@@ -376,18 +374,20 @@ def _eval_law_fp(law, args):
     """_eval_law on series over one F_p spec, on {exponent: int} dicts."""
     spec = args[0].spec
     p = spec.p
-    # per variable and exponent: (valuation bound, precision, int terms)
+    # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision,
+    # int terms)
     table = [
-        [None] + [
+        [
             (y.val_lower_bound(), y.precision,
              {e: c.num[0] for e, c in y.terms.items()})
-            for y in _power_table(x, top)[1:]
+            for y in _power_table(x, top)
         ]
         for x, top in zip(args, law.tops)
     ]
     out = []
     for monomials in law.monomials:
-        rows = [([table[i][e] for i, e in factors], c) for factors, c in monomials]
+        rows = [([table[i][e - 1] for i, e in factors], c)
+                for factors, c in monomials]
         # precision: over every monomial, those that vanish mod p included
         cut = min(
             _product_precision((v, n) for v, n, _ in entries)
