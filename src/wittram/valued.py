@@ -23,8 +23,10 @@ not hashable.
 Over F_p, sums, negatives, products, integer scalings, inverses and
 p-th powers compute on the integers c.num[0], reduce mod p once per
 output exponent and map each result back to the field's canonical
-constant; over F_p(u) they combine ResidueElem coefficients.  The
-precision rules above are the same on both paths.
+constant; over F_p(u) they combine ResidueElem coefficients.  Products
+go through one loop per field kind, on {exponent: coefficient} dicts:
+mul_ints over F_p, mul_terms over F_p(u), which the Witt group law
+calls too.  The precision rules above are the same on both paths.
 """
 
 import math
@@ -208,17 +210,8 @@ class LaurentElem:
             return LaurentElem._trusted(
                 spec, {e: table[c] for e, c in ints.items()}, precision
             )
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = ea + eb
-                if e >= precision:
-                    continue
-                prod = ca * cb
-                cur = terms.get(e)
-                terms[e] = prod if cur is None else cur + prod
         return LaurentElem._trusted(
-            spec, {e: c for e, c in terms.items() if c.num}, precision
+            spec, mul_terms(self.terms, other.terms, precision), precision
         )
 
     def scale(self, c):
@@ -343,6 +336,22 @@ def mul_ints(a, b, precision, p):
             if e < precision:
                 out[e] = out.get(e, 0) + ca * cb
     return {e: r for e, c in out.items() if (r := c % p)}
+
+
+def mul_terms(a, b, precision):
+    """The product of two F_p(u) series given as {exponent: ResidueElem}
+    dicts, below t^precision: zeros dropped, and the exponents in the
+    order the term products first reach them."""
+    out = {}
+    right = list(b.items())
+    for ea, ca in a.items():
+        for eb, cb in right:
+            e = ea + eb
+            if e < precision:
+                prod = ca * cb
+                cur = out.get(e)
+                out[e] = prod if cur is None else cur + prod
+    return {e: c for e, c in out.items() if c.num}
 
 
 def binary_power(x, e, one):

@@ -7,13 +7,15 @@ evaluates those polynomials on components drawn from any coefficient
 ring here (residue elements or Laurent series); each law's integer
 coefficients are reduced mod p once, when the law is first used.
 
-Over F_p the group law runs on {exponent: int} dicts: each argument's
-powers are built once per call as series, one product per power, and
-unwrapped to ints; then each component takes two passes, one folding
-the precision over every monomial (those that vanish mod p included)
-and one multiplying out the others on ints, wrapped as a series once.
-Residue components, F_p(u) series and mixed operands go through the
-series operators; see _eval_law.
+On series over one residue field, F_p or F_p(u), the group law builds
+each argument's powers once per call as series, one product or one
+Frobenius per power, and holds them as {exponent: coefficient} dicts
+(ints over F_p, ResidueElems over F_p(u)); then each component takes two
+passes, one folding the precision over every monomial (those that
+vanish mod p included) and one multiplying out the others on the dicts,
+wrapped as a series once.  Residue components, mixed operands and
+series past an exponent guard are multiplied out with the ring
+operators; see _eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -21,6 +23,7 @@ polynomials outgrow the desk scale this package targets.
 
 import functools
 import math
+import operator
 
 from .coeff import FieldKind
 from .errors import (
@@ -35,6 +38,8 @@ from .valued import (
     binary_power,
     frobenius_power,
     mul_ints,
+    mul_terms,
+    pth_power,
 )
 
 _MAX_M = 4
@@ -327,13 +332,6 @@ def _neg_law(p, m):
     return _LawModP(neg_polys(p, m), p)
 
 
-def _power(powers, args, f):
-    x = powers.get(f)
-    if x is None:
-        x = powers[f] = args[f[0]] ** f[1]
-    return x
-
-
 def _product_precision(pairs):
     """The precision of a product of factors with these (valuation bound,
     precision) pairs: valuation bounds add under products, each of which
@@ -345,41 +343,94 @@ def _product_precision(pairs):
     return n
 
 
-def _skipped_precision(factors, powers, args):
-    """The precision the product of a skipped monomial would have had."""
-    if not factors:
-        return args[0].ring_one().precision
-    return _product_precision(
-        (x.val_lower_bound(), x.precision)
-        for x in (_power(powers, args, f) for f in factors)
-    )
-
-
 def _power_table(x, top):
     """[x ** 1, ..., x ** top] for top >= 1, each with the terms and
-    precision ** gives it, at one series product per power: x ** 1 is x
-    cut to min(N, v + max(N, 64)), and valued's product rule then carries
-    x ** e = x ** (e - 1) * x ** 1 to e*v + min(max(N, 64), N - v), or to
-    e*N for an apparent zero, which stays as it is."""
+    precision ** gives it.  x ** 1 is x cut to min(N, v + max(N, 64)),
+    and valued's product rule carries x ** e = x ** (e - 1) * x ** 1 to
+    e*v + min(max(N, 64), N - v), or to e*N for an apparent zero, which
+    stays as it is.  Where p divides e, x ** e is instead the Frobenius
+    of x ** (e / p), cut to the precision that product would have had,
+    as ** goes through the Frobenius too: over F_p(u) it only spreads
+    coefficients, where a product multiplies polynomials."""
+    p = x.spec.p
     if x.terms:
         n = x.precision
         x = x.truncated(min(n, min(x.terms) + max(n, DEFAULT_PRECISION)))
+    one = (x.val_lower_bound(), x.precision)
     row = [x]
-    while len(row) < top:
-        row.append(row[-1] * x)
+    for e in range(2, top + 1):
+        if e % p:
+            row.append(row[-1] * x)
+        else:
+            n = _product_precision(
+                ((row[-1].val_lower_bound(), row[-1].precision), one)
+            )
+            row.append(pth_power(row[e // p - 1]).truncated(n))
     return row
 
 
-def _eval_law_fp(law, args):
-    """_eval_law on series over one F_p spec, on {exponent: int} dicts."""
+def _multiply_out(law, args):
+    """The law's components at args, every monomial multiplied out with
+    the ring operators and summed in IntPoly.evaluate's order; each power
+    args[i] ** e is computed once, where IntPoly.evaluate first needs it,
+    and a term is scaled only by a coefficient other than 1."""
+    powers = {}
+
+    def power(f):
+        if f not in powers:
+            powers[f] = args[f[0]] ** f[1]
+        return powers[f]
+
+    def term(factors, c):
+        x = functools.reduce(operator.mul, map(power, factors))
+        return x if c == 1 else x.scale_int(c)
+
+    return [
+        functools.reduce(operator.add, (term(*mono) for mono in monomials))
+        for monomials in law.monomials
+    ]
+
+
+def _eval_law(law, args):
+    """The law's components at args, equal term for term and in precision
+    to IntPoly.evaluate on each of its Z-polynomials.
+
+    Series over one residue field, F_p or F_p(u), whose lowest exponent
+    times the law's degree stays at or above -p^2 * DEFAULT_PRECISION
+    take two passes per component over a table of the powers
+    args[i] ** e (_power_table), held as {exponent: coefficient} dicts:
+    ints over F_p, ResidueElems over F_p(u).  The first folds valued's
+    product rule over the (valuation, precision) pairs of every
+    monomial, including those that vanish mod p, whose product would
+    still have cut the precision of the sum; the minimum is the
+    component's precision.  The second multiplies out the other
+    monomials on the dicts (valued.mul_ints, reducing mod p after each
+    product, or valued.mul_terms), adds them into one dict and wraps it
+    as one series.
+
+    Everything else is multiplied out monomial by monomial with the ring
+    operators (_multiply_out): residue components, operands of mixed
+    kinds or specs, which raise where IntPoly.evaluate raises, and series
+    reaching below t^(-p^2 * DEFAULT_PRECISION), whose powers could trip
+    valued's exponent limit, which then trips where it does for
+    IntPoly.evaluate.
+    """
     spec = args[0].spec
     p = spec.p
+    if not all(
+        isinstance(x, LaurentElem) and (x.spec is spec or x.spec == spec)
+        for x in args
+    ) or law.degree * min(
+        (min(x.terms) for x in args if x.terms), default=0
+    ) < -p * p * DEFAULT_PRECISION:
+        return _multiply_out(law, args)
+    prime = spec.kind is FieldKind.PRIME
     # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision,
-    # int terms)
+    # terms), the terms as ints over F_p
     table = [
         [
             (y.val_lower_bound(), y.precision,
-             {e: c.num[0] for e, c in y.terms.items()})
+             {e: c.num[0] for e, c in y.terms.items()} if prime else y.terms)
             for y in _power_table(x, top)
         ]
         for x, top in zip(args, law.tops)
@@ -401,80 +452,24 @@ def _eval_law_fp(law, args):
             if c == 0 or not all(terms for _, _, terms in entries):
                 continue
             rest = sum(v for v, _, _ in entries[1:])
-            ints = entries[0][2]
+            prod = entries[0][2]
             for v, _, terms in entries[1:]:
                 rest -= v
-                ints = mul_ints(ints, terms, cut - rest, p)
-            for e, x in ints.items():
-                acc[e] = acc.get(e, 0) + c * x
-        out.append(LaurentElem._from_ints(spec, acc, cut))
-    return out
-
-
-def _eval_law(law, args):
-    """The law's components at args, equal term for term and in precision
-    to IntPoly.evaluate on each of its Z-polynomials.
-
-    Series over one F_p spec whose lowest exponent times the law's
-    degree stays at or above -p^2 * DEFAULT_PRECISION take
-    _eval_law_fp: a table of powers args[i] ** e, one series product per
-    power, unwrapped to {exponent: int} dicts, then two passes per
-    component.  The first folds valued's product rule over the
-    (valuation, precision) pairs of every monomial, including those that
-    vanish mod p, whose product would still have cut the precision of
-    the sum; the minimum is the component's precision.  The second
-    multiplies out the other monomials on ints, reduced mod p after each
-    product, adds them into one dict and wraps it as one series.
-
-    Everything else keeps the series operators: residue components,
-    F_p(u) series, and operands of mixed kinds or specs, which raise
-    where IntPoly.evaluate raises.  There each args[i] ** e is computed
-    once per call, and a monomial that vanishes mod p is not multiplied
-    out, but the sum is truncated to the precision its product would
-    have had.  Series reaching below
-    t^(-p^2 * DEFAULT_PRECISION) could trip valued's exponent limit
-    inside a skipped product, so for them those monomials are multiplied
-    out too, and the law raises exactly where IntPoly.evaluate does.
-    """
-    first = args[0]
-    series = all(isinstance(x, LaurentElem) for x in args)
-    skip_zeros = True
-    if series:
-        spec = first.spec
-        p = spec.p
-        low = min((min(x.terms) for x in args if x.terms), default=0)
-        skip_zeros = low * law.degree >= -p * p * DEFAULT_PRECISION
-        if skip_zeros and spec.kind is FieldKind.PRIME and all(
-            x.spec is spec or x.spec == spec for x in args
-        ):
-            return _eval_law_fp(law, args)
-    powers = {}
-    out = []
-    for monomials in law.monomials:
-        acc = None
-        cut = None
-        for factors, c in monomials:
-            if c == 0 and skip_zeros:
-                if series:
-                    n = _skipped_precision(factors, powers, args)
-                    cut = n if cut is None else min(cut, n)
-                continue
-            term = None
-            for f in factors:
-                x = _power(powers, args, f)
-                term = x if term is None else term * x
-            if term is None:
-                term = first.ring_one()
-            if c != 1:
-                term = term.scale_int(c)
-            acc = term if acc is None else acc + term
-        if acc is None and cut is not None:
-            acc = LaurentElem.zero(first.spec, cut)
-        elif acc is None:
-            acc = first.scale_int(0)
-        elif cut is not None and cut < acc.precision:
-            acc = acc.truncated(cut)
-        out.append(acc)
+                prod = (mul_ints(prod, terms, cut - rest, p) if prime
+                        else mul_terms(prod, terms, cut - rest))
+            for e, x in prod.items():
+                if prime:
+                    acc[e] = acc.get(e, 0) + c * x
+                else:
+                    x = x if c == 1 else x.scale_int(c)
+                    cur = acc.get(e)
+                    acc[e] = x if cur is None else cur + x
+        if prime:
+            out.append(LaurentElem._from_ints(spec, acc, cut))
+        else:
+            out.append(LaurentElem._trusted(spec, {
+                e: x for e, x in acc.items() if e < cut and x.num
+            }, cut))
     return out
 
 

@@ -27,7 +27,7 @@ from wittram.witt import (
     _sum_law,
 )
 
-from conftest import ALL_SPECS, F2, F3, L, W
+from conftest import ALL_SPECS, F2, F2U, F3, F3U, L, W
 
 
 def _ghost_identity_holds(p, m):
@@ -215,18 +215,27 @@ def _assert_same(got, want):
             assert (x.num, x.den) == (y.num, y.den)
 
 
-def _random_component(rng, spec):
+def _random_coeff(rng, spec):
+    """A nonzero constant over F_p; over F_p(u) a monic quadratic, over
+    a linear denominator one time in three."""
+    if spec.kind is FieldKind.PRIME:
+        return spec.from_int(rng.randrange(1, spec.p))
+    num = [rng.randrange(spec.p) for _ in range(2)] + [1]
+    if rng.random() < 1 / 3:
+        return spec.element(num, [rng.randrange(1, spec.p), 1])
+    return spec.element(num)
+
+
+def _random_component(rng, spec, precision=None):
     """1 to 3 terms with exponents in [-3, 6], or an apparent zero, known
-    to a precision between 8 and 100."""
-    precision = rng.randrange(8, 101)
+    to a precision between 8 and 100 unless one is given."""
+    if precision is None:
+        precision = rng.randrange(8, 101)
     if rng.random() < 0.2:
         return LaurentElem.zero(spec, precision)
     terms = {}
     for _ in range(rng.randrange(1, 4)):
-        if spec.kind is FieldKind.PRIME:
-            c = spec.from_int(rng.randrange(1, spec.p))
-        else:
-            c = spec.element([rng.randrange(spec.p) for _ in range(2)] + [1])
+        c = _random_coeff(rng, spec)
         terms[rng.randrange(-3, 7)] = c
     return LaurentElem(spec, terms, precision)
 
@@ -246,18 +255,69 @@ def _check_law_parity(a, b):
     _assert_same(artin_schreier_map(a), _reference_as_map(a))
 
 
+def _random_vector(rng, spec, m):
+    return WittVector(spec.p, m, [_random_component(rng, spec) for _ in range(m)])
+
+
+def _check_random_law_parity(rng, kinds, p, m, draws):
+    for kind in kinds:
+        spec = FieldSpec(p, kind)
+        for _ in range(draws):
+            a, b = _random_vector(rng, spec, m), _random_vector(rng, spec, m)
+            _check_law_parity(a, b)
+
+
 @pytest.mark.parametrize("p,m,draws", _LAW_SHAPES)
 def test_group_law_matches_z_polynomials(p, m, draws):
     rng = random.Random(1000 * p + m)
     kinds = (FieldKind.PRIME, FieldKind.RATIONAL) if m <= 2 else (FieldKind.PRIME,)
-    for kind in kinds:
+    _check_random_law_parity(rng, kinds, p, m, draws)
+
+
+@pytest.mark.parametrize("p,m,draws", [(2, 3, 6), (3, 3, 4), (2, 4, 4)])
+def test_fp_u_group_law_matches_z_polynomials_past_length_2(p, m, draws):
+    rng = random.Random(1000 * p + m + 7)
+    _check_random_law_parity(rng, (FieldKind.RATIONAL,), p, m, draws)
+
+
+def _cut_and_retail(rng, x):
+    """x cut to a lower precision n, and x below n with another tail
+    above it, known to n + 3."""
+    n = rng.randrange(min(x.terms, default=x.precision) - 2, x.precision + 1)
+    cut = x.truncated(n)
+    terms = dict(cut.terms)
+    for e in range(n, n + 3):
+        if rng.random() < 0.5:
+            terms[e] = _random_coeff(rng, x.spec)
+    return cut, LaurentElem(x.spec, terms, n + 3)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_group_law_precision_is_honest(p, m):
+    # The full inputs and the same inputs with another tail above a lower
+    # cut both extend the inputs cut there, so the outputs of each must
+    # agree with those from the cut inputs below the smaller O(t^N) the
+    # two claim.
+    rng = random.Random(2000 * p + m)
+    laws = (
+        lambda x, y: witt_add(x, y),
+        lambda x, y: witt_neg(x),
+        lambda x, y: artin_schreier_map(x),
+    )
+    for kind in FieldKind:
         spec = FieldSpec(p, kind)
-        for _ in range(draws):
-            a, b = (
-                WittVector(p, m, [_random_component(rng, spec) for _ in range(m)])
-                for _ in range(2)
-            )
-            _check_law_parity(a, b)
+        for _ in range(6):
+            a, b = _random_vector(rng, spec, m), _random_vector(rng, spec, m)
+            lowered = [
+                [_cut_and_retail(rng, x) for x in v.components] for v in (a, b)
+            ]
+            variants = [(a, b)] + [
+                tuple(WittVector(p, m, [pair[k] for pair in v]) for v in lowered)
+                for k in (0, 1)
+            ]
+            for law in laws:
+                full, cut, retailed = (law(x, y) for x, y in variants)
+                assert cut == full and cut == retailed
 
 
 def test_group_law_keeps_precision_of_monomials_zero_mod_p():
@@ -265,6 +325,15 @@ def test_group_law_keeps_precision_of_monomials_zero_mod_p():
     # component to O(t^-4); the others alone would give O(t^0).
     a = W("[t^-3 + t + O(t^62); t^-2 + t^2 + t^3 + O(t^14); "
           "t^-2 + t^-1 + t + O(t^41); t^3 + O(t^83)]", F2)
+    assert witt_neg(a).components[3].precision == -4
+    _check_law_parity(a, a)
+
+
+def test_fp_u_group_law_keeps_precision_of_monomials_zero_mod_p():
+    # The same valuations and precisions over F_2(u): O(t^-4) again.
+    a = W("[u*t^-3 + t + O(t^62); t^-2 + (u + 1)*t^2 + t^3 + O(t^14); "
+          "t^-2 + (1)/(u)*t^-1 + u*t + O(t^41); (u^2 + 1)*t^3 + O(t^83)]",
+          F2U)
     assert witt_neg(a).components[3].precision == -4
     _check_law_parity(a, a)
 
@@ -329,60 +398,72 @@ def _law_outcome(f):
 
 @pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (5, 3)])
 def test_group_law_matches_z_polynomials_around_the_guard(p, m):
-    # Series over F_p take the integer path while their lowest exponent
-    # times the addition law's degree stays at or above -p^2 * 64; the
-    # first component puts it just inside, exactly on and just outside
-    # that guard.  The others have precision <= 0, are apparent zeros, or
-    # live over an equal FieldSpec that is a distinct object.
-    spec, twin = FieldSpec(p), FieldSpec(p)
+    # Series over one residue field, F_p or F_p(u), take the two-pass
+    # path while their lowest exponent times the addition law's degree
+    # stays at or above -p^2 * 64; the first component puts it just
+    # inside, exactly on and just outside that guard.  The others have
+    # precision <= 0, are apparent zeros, or live over an equal FieldSpec
+    # that is a distinct object.
     edge, r = divmod(-p * p * DEFAULT_PRECISION, _sum_law(p, m).degree)
     assert r == 0
-    one, two = spec.one(), spec.from_int(2)
-    rest = [
-        LaurentElem(spec, {-2: one, -1: two}, 0),
-        LaurentElem.zero(spec, -3),
-        LaurentElem(twin, {-1: one, 4: two}, 64),
-    ][:m - 1]
-    b = WittVector(p, m, [
-        LaurentElem(twin, {-3: two, 5: one}, 150),
-        LaurentElem.zero(twin, 40),
-        LaurentElem(twin, {-2: ResidueElem(twin, (1,), (1,))}, -1),
-        LaurentElem(spec, {0: one}, 70),
-    ][:m])
-    for low in (edge + 1, edge, edge - 1):
-        a = WittVector(p, m, [LaurentElem(spec, {low: one, 1: two}, 300)] + rest)
-        for x, y in ((a, b), (b, a)):
-            outcomes = [
-                (_law_outcome(lambda: witt_add(x, y)),
-                 _law_outcome(lambda: _reference_add(x, y))),
-                (_law_outcome(lambda: witt_neg(x)),
-                 _law_outcome(lambda: _reference_neg(x))),
-                (_law_outcome(lambda: artin_schreier_map(x)),
-                 _law_outcome(lambda: _reference_as_map(x))),
-            ]
-            assert all(got == want for got, want in outcomes)
-            # Inside the guard and on it nothing leaves the exponent range.
-            # Past it, or in F(x), which reaches p times deeper, both sides
-            # may raise the same LimitExceeded.
-            if low >= edge:
-                assert all(isinstance(got, list) for got, _ in outcomes[:2])
+    for kind in FieldKind:
+        spec, twin = FieldSpec(p, kind), FieldSpec(p, kind)
+        one = spec.one()
+        two = spec.from_int(2) if kind is FieldKind.PRIME else spec.element([2, 1])
+        rest = [
+            LaurentElem(spec, {-2: one, -1: two}, 0),
+            LaurentElem.zero(spec, -3),
+            LaurentElem(twin, {-1: one, 4: two}, 64),
+        ][:m - 1]
+        b = WittVector(p, m, [
+            LaurentElem(twin, {-3: two, 5: one}, 150),
+            LaurentElem.zero(twin, 40),
+            LaurentElem(twin, {-2: ResidueElem(twin, (1,), (1,))}, -1),
+            LaurentElem(spec, {0: one}, 70),
+        ][:m])
+        for low in (edge + 1, edge, edge - 1):
+            a = WittVector(
+                p, m, [LaurentElem(spec, {low: one, 1: two}, 300)] + rest
+            )
+            for x, y in ((a, b), (b, a)):
+                outcomes = [
+                    (_law_outcome(lambda: witt_add(x, y)),
+                     _law_outcome(lambda: _reference_add(x, y))),
+                    (_law_outcome(lambda: witt_neg(x)),
+                     _law_outcome(lambda: _reference_neg(x))),
+                    (_law_outcome(lambda: artin_schreier_map(x)),
+                     _law_outcome(lambda: _reference_as_map(x))),
+                ]
+                assert all(got == want for got, want in outcomes)
+                # Inside the guard and on it nothing leaves the exponent
+                # range.  Past it, or in F(x), which reaches p times
+                # deeper, both sides may raise the same LimitExceeded.
+                if low >= edge:
+                    assert all(isinstance(got, list) for got, _ in outcomes[:2])
 
 
-@pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3), FieldSpec(5)],
-                         ids=repr)
+@pytest.mark.parametrize(
+    "spec", [FieldSpec(p, kind) for kind in FieldKind for p in (2, 3, 5)],
+    ids=repr,
+)
 def test_power_table_matches_pow(spec):
     # every entry equal to x ** e term for term and in precision, up to
-    # the degree of the addition law at the largest length the laws take
+    # the degree of the addition law at the largest length the laws take,
+    # the entries at multiples of p (Frobenius images) included
     top = _sum_law(spec.p, 4 if spec.p < 5 else 3).degree
-    one, two = spec.one(), spec.from_int(2)
+    if spec.kind is FieldKind.PRIME:
+        a, b = spec.one(), spec.from_int(2)
+    else:
+        # u + 1 and (u^2 + 1)/u
+        a, b = spec.element([1, 1]), spec.element([1, 0, 1], [0, 1])
     xs = [
-        LaurentElem(spec, {-3: one, 1: two, 7: one}, 64),
-        LaurentElem(spec, {-1: two, 0: one}, 20),
-        LaurentElem(spec, {-2: one, 5: one}, 100),
-        LaurentElem(spec, {0: two, 3: one}, 64),
-        LaurentElem(spec, {2: one, 5: two}, 20),
-        LaurentElem(spec, {1: one, 4: one}, 90),
-        LaurentElem(spec, {-4: one}, -2),
+        LaurentElem(spec, {-3: a, 1: b, 7: a}, 64),
+        LaurentElem(spec, {-1: b, 0: a}, 20),
+        LaurentElem(spec, {-2: a, 5: a}, 100),
+        LaurentElem(spec, {0: b, 3: a}, 64),
+        LaurentElem(spec, {2: a, 5: b}, 20),
+        LaurentElem(spec, {1: a, 4: a}, 90),
+        LaurentElem(spec, {-4: a}, -2),
         LaurentElem.zero(spec, 30),
         LaurentElem.zero(spec, 80),
         LaurentElem.zero(spec, -5),
@@ -408,13 +489,16 @@ def _count_calls(monkeypatch, cls, names):
     return calls
 
 
+def _table_powers(polys):
+    return sum(
+        max(mono[i] for s in polys for mono in s.terms)
+        for i in range(polys[0].nvars)
+    )
+
+
 def test_fp_group_law_makes_one_series_product_per_table_power(monkeypatch):
     a = W("[t^-1 + 2*t; t^-2 + t^3; 2 + t]", F3)
     b = W("[t^-2 + t; 2*t^-1 + t^4; t^-1]", F3)
-    polys = sum_polys(3, 3)
-    table_powers = sum(
-        max(mono[i] for s in polys for mono in s.terms) for i in range(6)
-    )
     series = _count_calls(
         monkeypatch, LaurentElem, ("__add__", "__mul__", "__pow__", "scale_int")
     )
@@ -425,16 +509,60 @@ def test_fp_group_law_makes_one_series_product_per_table_power(monkeypatch):
     )
     got = witt_add(a, b)
     assert series["__add__"] == series["__pow__"] == series["scale_int"] == 0
-    assert 0 < series["__mul__"] <= table_powers
+    assert 0 < series["__mul__"] <= _table_powers(sum_polys(3, 3))
     assert not any(residue.values())
     monkeypatch.undo()
     _assert_same(got, _reference_add(a, b))
 
 
-def test_fp_u_group_law_keeps_the_series_operators(monkeypatch):
-    f3u = FieldSpec(3, FieldKind.RATIONAL)
-    a = W("[u*t^-1 + t; t^-2]", f3u)
-    b = W("[t^-2 + u; (u + 1)*t^-1]", f3u)
-    series = _count_calls(monkeypatch, LaurentElem, ("__add__", "__pow__"))
-    witt_add(a, b)
-    assert series["__add__"] > 0 and series["__pow__"] > 0
+def test_fp_u_group_law_makes_one_series_product_per_table_power(monkeypatch):
+    # F_p(u) takes the same two passes, on {exponent: ResidueElem} dicts;
+    # at p = 2, N_1's X_0^2 is a Frobenius image and costs no product
+    cases = [
+        (W("[u*t^-1 + t; t^-2 + (u + 1)*t]", F2U),
+         W("[t^-2 + u; (u + 1)/(u)*t^-1 + t^3]", F2U)),
+        (W("[u*t^-1 + t; t^-2 + (1)/(u^2 + 1)]", F3U),
+         W("[t^-2 + (u + 2)/(u)*t; (u + 1)*t^-1]", F3U)),
+    ]
+    series = _count_calls(
+        monkeypatch, LaurentElem, ("__add__", "__mul__", "__pow__", "scale_int")
+    )
+    got = []
+    for a, b in cases:
+        for law, polys, args in ((witt_add, sum_polys(a.p, a.m), (a, b)),
+                                 (witt_neg, neg_polys(a.p, a.m), (a,))):
+            series.update(dict.fromkeys(series, 0))
+            got.append(law(*args))
+            assert series["__add__"] == series["__pow__"] == 0
+            assert series["scale_int"] == 0
+            assert series["__mul__"] <= _table_powers(polys)
+    monkeypatch.undo()
+    want = [w for a, b in cases for w in (_reference_add(a, b), _reference_neg(a))]
+    for x, y in zip(got, want, strict=True):
+        _assert_same(x, y)
+
+
+def test_group_law_off_the_two_pass_path_reaches_pow(monkeypatch):
+    # residue components, mixed operands and series past the guard are
+    # multiplied out with the ring operators
+    one = F2.one()
+    past = WittVector(2, 2, [LaurentElem(F2, {-1: one, 2: one}, 200),
+                             LaurentElem(F2, {-200: one, 1: one}, 200)])
+    residue = WittVector(3, 2, (F3U.u(), F3U.one()))
+    mixed = (W("[t^-1; 1]", F3), WittVector(3, 2, (F3.one(), F3.from_int(2))))
+    calls = [
+        (LaurentElem, lambda: witt_neg(past)),
+        (LaurentElem, lambda: witt_add(past, past)),
+        (ResidueElem, lambda: witt_add(residue, residue)),
+        (ResidueElem, lambda: witt_neg(residue)),
+        (LaurentElem, lambda: witt_add(*mixed)),
+        (ResidueElem, lambda: witt_add(*mixed)),
+    ]
+    for cls, call in calls:
+        counts = _count_calls(monkeypatch, cls, ("__pow__",))
+        try:
+            call()
+        except TypeError:
+            pass
+        assert counts["__pow__"] > 0
+        monkeypatch.undo()
