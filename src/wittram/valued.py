@@ -23,10 +23,9 @@ not hashable.
 Over F_p, sums, negatives, products, integer scalings, inverses and
 p-th powers compute on the integers c.num[0], reduce mod p once per
 output exponent and map each result back to the field's canonical
-constant; over F_p(u) they combine ResidueElem coefficients.  Products
-go through one loop per field kind, on {exponent: coefficient} dicts:
-mul_ints over F_p, mul_terms over F_p(u), which the Witt group law
-calls too.  The precision rules above are the same on both paths.
+constant; over F_p(u) they combine ResidueElem coefficients.  The
+product loops, mul_ints and mul_terms, serve the Witt group law too.
+The precision rules above are the same on both paths.
 """
 
 import math

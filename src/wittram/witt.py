@@ -7,15 +7,12 @@ evaluates those polynomials on components drawn from any coefficient
 ring here (residue elements or Laurent series); each law's integer
 coefficients are reduced mod p once, when the law is first used.
 
-On series over one residue field, F_p or F_p(u), the group law builds
-each argument's powers once per call as series, one product or one
-Frobenius per power, and holds them as {exponent: coefficient} dicts
-(ints over F_p, ResidueElems over F_p(u)); then each component takes two
-passes, one folding the precision over every monomial (those that
-vanish mod p included) and one multiplying out the others on the dicts,
-wrapped as a series once.  Residue components, mixed operands and
-series past an exponent guard are multiplied out with the ring
-operators; see _eval_law.
+On series over F_p or F_p(u) the group law builds each argument's
+powers once per call, then takes two passes per component: one folds
+the precision over every monomial (those that vanish mod p included),
+one multiplies out the others on {exponent: coefficient} dicts.
+Residue components, mixed operands and series past an exponent guard
+are multiplied out with the ring operators; see _eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -345,13 +342,12 @@ def _product_precision(pairs):
 
 def _power_table(x, top):
     """[x ** 1, ..., x ** top] for top >= 1, each with the terms and
-    precision ** gives it.  x ** 1 is x cut to min(N, v + max(N, 64)),
-    and valued's product rule carries x ** e = x ** (e - 1) * x ** 1 to
-    e*v + min(max(N, 64), N - v), or to e*N for an apparent zero, which
-    stays as it is.  Where p divides e, x ** e is instead the Frobenius
-    of x ** (e / p), cut to the precision that product would have had,
-    as ** goes through the Frobenius too: over F_p(u) it only spreads
-    coefficients, where a product multiplies polynomials."""
+    precision ** gives it: x ** 1 is x cut to min(N, v + max(N, 64)), and
+    valued's product rule carries x ** e = x ** (e - 1) * x ** 1 to
+    e*v + min(max(N, 64), N - v), or to e*N for an apparent zero.  Where
+    p divides e, the Frobenius of x ** (e / p), cut to that precision,
+    is cheaper: over F_p(u) it spreads coefficients, a product multiplies
+    polynomials."""
     p = x.spec.p
     if x.terms:
         n = x.precision
@@ -370,10 +366,9 @@ def _power_table(x, top):
 
 
 def _multiply_out(law, args):
-    """The law's components at args, every monomial multiplied out with
-    the ring operators and summed in IntPoly.evaluate's order; each power
-    args[i] ** e is computed once, where IntPoly.evaluate first needs it,
-    and a term is scaled only by a coefficient other than 1."""
+    """The law's components at args, multiplied out with the ring
+    operators in IntPoly.evaluate's order, each args[i] ** e computed
+    once, where IntPoly.evaluate first needs it."""
     powers = {}
 
     def power(f):
@@ -397,23 +392,19 @@ def _eval_law(law, args):
 
     Series over one residue field, F_p or F_p(u), whose lowest exponent
     times the law's degree stays at or above -p^2 * DEFAULT_PRECISION
-    take two passes per component over a table of the powers
-    args[i] ** e (_power_table), held as {exponent: coefficient} dicts:
-    ints over F_p, ResidueElems over F_p(u).  The first folds valued's
-    product rule over the (valuation, precision) pairs of every
+    take two passes per component over the powers from _power_table,
+    held as {exponent: coefficient} dicts: ints over F_p, ResidueElems
+    over F_p(u).  The first folds valued's product rule over every
     monomial, including those that vanish mod p, whose product would
     still have cut the precision of the sum; the minimum is the
     component's precision.  The second multiplies out the other
-    monomials on the dicts (valued.mul_ints, reducing mod p after each
-    product, or valued.mul_terms), adds them into one dict and wraps it
-    as one series.
+    monomials (valued.mul_ints or valued.mul_terms) into one dict,
+    wrapped as one series.
 
-    Everything else is multiplied out monomial by monomial with the ring
-    operators (_multiply_out): residue components, operands of mixed
-    kinds or specs, which raise where IntPoly.evaluate raises, and series
-    reaching below t^(-p^2 * DEFAULT_PRECISION), whose powers could trip
-    valued's exponent limit, which then trips where it does for
-    IntPoly.evaluate.
+    Everything else goes through _multiply_out: residue components,
+    operands of mixed kinds or specs, and series reaching below
+    t^(-p^2 * DEFAULT_PRECISION), whose powers could trip valued's
+    exponent limit; both raise where IntPoly.evaluate raises.
     """
     spec = args[0].spec
     p = spec.p
