@@ -352,14 +352,14 @@ def _power_table(x, top):
     if x.terms:
         n = x.precision
         x = x.truncated(min(n, min(x.terms) + max(n, DEFAULT_PRECISION)))
-    one = (x.val_lower_bound(), x.precision)
+    base = (x.val_lower_bound(), x.precision)
     row = [x]
     for e in range(2, top + 1):
         if e % p:
             row.append(row[-1] * x)
         else:
             n = _product_precision(
-                ((row[-1].val_lower_bound(), row[-1].precision), one)
+                ((row[-1].val_lower_bound(), row[-1].precision), base)
             )
             row.append(pth_power(row[e // p - 1]).truncated(n))
     return row
