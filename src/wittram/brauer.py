@@ -51,7 +51,7 @@ class BrauerSymbol:
             raise ShapeMismatch("symbol components must be Laurent series")
         if not isinstance(b, LaurentElem):
             raise ShapeMismatch("expected a Laurent series for the second slot")
-        if b.spec != omega.components[0].spec:
+        if b.spec is not omega.components[0].spec:
             raise SpecMismatch("omega and b live over different residue fields")
         if b.is_apparent_zero:
             raise ShapeMismatch("second slot must have a visible leading term")

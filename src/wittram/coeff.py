@@ -128,7 +128,7 @@ def _pmonomial(c, e):
 
 
 def _is_prime(n):
-    if n < 2:
+    if not isinstance(n, int) or n < 2:
         return False
     d = 2
     while d * d <= n:
@@ -143,41 +143,36 @@ class FieldKind(enum.Enum):
     RATIONAL = "fp-u"
 
 
-# _CONSTANTS[p, kind][c] is the canonical element c of F_p, for c in
-# [0, p): one table per field, built by its first FieldSpec and shared by
-# every equal one.  A table per FieldSpec would make each spec a cycle
-# (spec -> table -> element -> spec) that only a full collection frees.
-_CONSTANTS = {}
+# _SPECS[p, kind] is the one FieldSpec of its field, kept for the life of
+# the process, so specs are compared by identity.
+_SPECS = {}
 
 
 class FieldSpec:
-    """Identifies a residue field: the prime p and the field kind."""
+    """Identifies a residue field: the prime p and the field kind.
+
+    FieldSpec(p, kind) returns the one spec of that field, built on first
+    use together with its table of the constants 0, ..., p - 1.
+    """
 
     __slots__ = ("p", "kind", "_constants")
 
-    def __init__(self, p, kind=FieldKind.PRIME):
+    def __new__(cls, p, kind=FieldKind.PRIME):
         if not _is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
-        if not isinstance(kind, FieldKind):
-            kind = FieldKind(kind)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "kind", kind)
-        constants = _CONSTANTS.get((p, kind))
-        if constants is None:
-            constants = _CONSTANTS[p, kind] = tuple(
-                ResidueElem._raw(self, (c,) if c else (), (1,)) for c in range(p)
-            )
-        object.__setattr__(self, "_constants", constants)
+        kind = FieldKind(kind)
+        spec = _SPECS.get((p, kind))
+        if spec is None:
+            spec = _SPECS[p, kind] = object.__new__(cls)
+            object.__setattr__(spec, "p", p)
+            object.__setattr__(spec, "kind", kind)
+            object.__setattr__(spec, "_constants", tuple(
+                ResidueElem._raw(spec, (c,) if c else (), (1,)) for c in range(p)
+            ))
+        return spec
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldSpec is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldSpec)
-            and self.p == other.p
-            and self.kind == other.kind
-        )
 
     def __hash__(self):
         return hash((self.p, self.kind))
@@ -275,7 +270,7 @@ class ResidueElem:
     def _check(self, other):
         if not isinstance(other, ResidueElem):
             raise TypeError(f"cannot combine ResidueElem with {type(other).__name__}")
-        if other.spec is not self.spec and other.spec != self.spec:
+        if other.spec is not self.spec:
             raise SpecMismatch(f"{self.spec!r} vs {other.spec!r}")
 
     # -- ring structure --------------------------------------------------------
@@ -381,7 +376,7 @@ class ResidueElem:
         if not isinstance(other, ResidueElem):
             return NotImplemented
         return (
-            self.spec == other.spec
+            self.spec is other.spec
             and self.num == other.num
             and self.den == other.den
         )

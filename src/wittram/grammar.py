@@ -5,7 +5,8 @@ Laurent series: ascending exponents, '+'-separated, e.g.
 The O(t^N) suffix names the precision and is printed only when it
 differs from the session default.  '-' appears only inside exponents;
 coefficients are written without minus signs.  Multi-term or fractional
-coefficients are parenthesized: (u+1)*t^2, (u^2+u+1)/(u)*t.
+coefficients are parenthesized: (u+1)*t^2, ((u^2+u+1)/(u))*t.  The parser
+reads a fraction with or without its outer pair.
 
 Witt vectors: [e1; e2].  Symbols: [[e1; e2]; b).
 """
@@ -207,11 +208,15 @@ def _parse_poly(toks, p):
 
 
 def _parse_coeff(toks, spec):
-    """A residue coefficient."""
+    """A residue coefficient; one extra pair of parentheses is read, as
+    render_laurent prints a fraction ((num)/(den))."""
     p = spec.p
     tok = toks.peek()
     if tok[0] == "(":
         toks.next()
+        wrapped = toks.peek()[0] == "("
+        if wrapped:
+            toks.next()
         num = _parse_poly(toks, p)
         toks.expect(")", expected=(")",))
         den = (1,)
@@ -219,6 +224,8 @@ def _parse_coeff(toks, spec):
             toks.next()
             toks.expect("(", expected=("(",))
             den = _parse_poly(toks, p)
+            toks.expect(")", expected=(")",))
+        if wrapped:
             toks.expect(")", expected=(")",))
         return ResidueElem(spec, num, den)
     if tok[0] == "INT":

@@ -123,7 +123,11 @@ def cyclic_to_insep(omega, b):
     """
     if not isinstance(omega, WittVector):
         raise ShapeMismatch("expected a Witt vector")
-    report = classify(omega)
+    return _subfield_witness(omega, b, classify(omega))
+
+
+def _subfield_witness(omega, b, report):
+    """cyclic_to_insep after classification: report is classify(omega)."""
     if report.classification is Classification.UNCLASSIFIED:
         raise UnsupportedCase(
             "the analyzer could not settle the input; totally ramified "
@@ -385,8 +389,10 @@ def conjecture_roundtrip(omega, b):
         construction = insep_to_cyclic_p2(sym)
     stages.append(("insep_to_cyclic", construction))
     stages.append(("classify_cyclic", construction.report))
-    witness = cyclic_to_insep(
-        construction.omega_new, construction.result_symbol.b
+    # the construction already classified omega_new
+    witness = _subfield_witness(
+        construction.omega_new, construction.result_symbol.b,
+        construction.report,
     )
     stages.append(("cyclic_to_insep", witness))
     witness.verify()

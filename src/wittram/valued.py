@@ -53,7 +53,7 @@ class LaurentElem:
         limit = spec.p * spec.p * max(abs(precision), DEFAULT_PRECISION)
         clean = {}
         for e, c in terms.items():
-            if c.spec is not spec and c.spec != spec:
+            if c.spec is not spec:
                 raise SpecMismatch("coefficient spec differs from series spec")
             if c.is_zero or e >= precision:
                 continue
@@ -158,7 +158,7 @@ class LaurentElem:
     def _check(self, other):
         if not isinstance(other, LaurentElem):
             raise TypeError(f"cannot combine LaurentElem with {type(other).__name__}")
-        if other.spec is not self.spec and other.spec != self.spec:
+        if other.spec is not self.spec:
             raise SpecMismatch(f"{self.spec!r} vs {other.spec!r}")
 
     def __add__(self, other):

@@ -247,7 +247,7 @@ class WittVector:
         for c in components[1:]:
             if type(c) is not type(first):
                 raise ShapeMismatch("mixed component kinds")
-            if c.spec != first.spec:
+            if c.spec is not first.spec:
                 raise SpecMismatch("mixed component specs")
         if first.spec.p != p:
             raise SpecMismatch(
@@ -409,8 +409,7 @@ def _eval_law(law, args):
     spec = args[0].spec
     p = spec.p
     if not all(
-        isinstance(x, LaurentElem) and (x.spec is spec or x.spec == spec)
-        for x in args
+        isinstance(x, LaurentElem) and x.spec is spec for x in args
     ) or law.degree * min(
         (min(x.terms) for x in args if x.terms), default=0
     ) < -p * p * DEFAULT_PRECISION:

@@ -58,6 +58,13 @@ def test_empty_window_exits_4():
     )
 
 
+def test_printed_fraction_coefficients_read_back():
+    argv = ["witt", "add", "--p", "2", "--residue", "fp-u"]
+    code, text = run_command(argv + ["[(1)/(u)*t^-1; 0]", "[0; 0]"])
+    assert (code, text) == (0, "[((1)/(u))*t^-1 + O(t^63); 0 + O(t^63)]")
+    assert run_command(argv + [text, "[0; 0]"]) == (0, text)
+
+
 def test_parse_error_exits_3():
     code, text = run_command(["ram", "analyze", "--p", "2", "t^"])
     assert code == 3

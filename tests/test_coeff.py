@@ -29,6 +29,23 @@ def test_prime_validation():
         FieldSpec(4, FieldKind.PRIME)
     with pytest.raises(ValueError):
         FieldSpec(1, FieldKind.PRIME)
+    with pytest.raises(ValueError):
+        FieldSpec(3, "fq")
+    with pytest.raises(ValueError):
+        FieldSpec(3.0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_one_spec_per_field(p):
+    for kind in FieldKind:
+        spec = FieldSpec(p, kind)
+        assert FieldSpec(p, kind) is spec
+        assert FieldSpec(p, kind.value) is spec
+        assert hash(spec) == hash((p, kind))
+        assert spec.zero() is FieldSpec(p, kind).zero()
+    assert FieldSpec(p) is FieldSpec(p, FieldKind.PRIME)
+    assert FieldSpec(p, FieldKind.PRIME) is not FieldSpec(p, FieldKind.RATIONAL)
+    assert "__eq__" not in vars(FieldSpec)
 
 
 def test_prime_field_constants_only():

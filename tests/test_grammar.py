@@ -5,6 +5,7 @@ import pytest
 from conftest import ALL_SPECS, F2, F2U, F3, F3U
 from wittram import sampling
 from wittram.brauer import BrauerSymbol
+from wittram.coeff import FieldKind, FieldSpec
 from wittram.errors import ParseError
 from wittram.grammar import (
     parse_element,
@@ -219,6 +220,37 @@ def test_residue_roundtrip_500():
         # every rendered residue reads back as a t^0 series
         e = parse_laurent(render_residue(r), spec)
         assert e.residue_at(0) == r
+
+
+def test_fraction_coefficient_roundtrip():
+    # render_laurent prints a fraction as ((num)/(den)), alone at t^0 and
+    # before *t^e elsewhere; the random round-trips above draw polynomials
+    rng = sampling.make_rng(106)
+    for p in (2, 3, 5):
+        spec = FieldSpec(p, FieldKind.RATIONAL)
+        for n in range(40):
+            terms = {}
+            for e in (rng.randrange(-6, 0), 0, rng.randrange(1, 7)):
+                c = spec.one()
+                while c.is_polynomial:
+                    num = sampling.random_residue(rng, spec, nonzero=True)
+                    den = sampling.random_residue(rng, spec, nonzero=True)
+                    c = num / den
+                terms[e] = c
+            x = LaurentElem(spec, terms, rng.choice((24, 63, 64)))
+            text = render_laurent(x)
+            assert "((" in text
+            back = parse_laurent(text, spec)
+            assert back == x and back.precision == x.precision
+            assert render_laurent(back) == text
+            w = WittVector(p, 2, (x, x.scale_int(0)))
+            assert parse_witt(render_witt(w), spec) == w
+    assert parse_laurent("((u+1)) + ((1)/(u))", F2U) == parse_laurent(
+        "u + 1 + (1)/(u)", F2U
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_laurent("((1)/(u)*t", F2U)
+    assert exc.value.position == 8 and exc.value.expected == (")",)
 
 
 def test_parse_element_roundtrip_mixed():

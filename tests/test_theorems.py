@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U, L, W
-from wittram import coeff, sampling
+from wittram import coeff, sampling, theorems
 from wittram.brauer import BrauerSymbol
 from wittram.errors import (
     HypothesisNotVerified,
@@ -303,6 +303,22 @@ def test_roundtrip_golden():
     assert rt.witness.c.val() == -3
     assert rt.witness.verify()
     assert rt.construction.trace.validate()
+
+
+def test_roundtrip_classifies_each_vector_once(monkeypatch):
+    # the return direction reuses the construction's report
+    calls = []
+    for name in ("classify", "classify_deg_p", "classify_len2"):
+        def counted(*args, _name=name, _f=getattr(theorems, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(theorems, name, counted)
+    for omega, expected in (("[0]", "classify_deg_p"), ("[0; 0]", "classify_len2")):
+        calls.clear()
+        rt = conjecture_roundtrip(W(omega, F2U), L("t", F2U))
+        assert calls == [expected]
+        assert rt.witness.report is rt.construction.report
 
 
 def test_roundtrip_deep_precision_loss_regression():
