@@ -47,11 +47,10 @@ from .grammar import (
 from .newton import newton_classify_deg_p
 from .theorems import (
     SubfieldWitness,
+    _insep_to_cyclic,
     build_disjoint_division_pair,
     conjecture_roundtrip,
     cyclic_to_insep,
-    insep_to_cyclic_p,
-    insep_to_cyclic_p2,
     insep_to_cyclic_perfect,
 )
 from .valued import DEFAULT_PRECISION, LaurentElem
@@ -358,13 +357,8 @@ def _construction_report(args, sym, construction):
 
 
 def _cmd_thm_insep_to_cyclic(args, spec, sym):
-    m = _resolve_m(args, sym.m)
-    if m == 1:
-        construction = insep_to_cyclic_p(sym)
-    elif m == 2:
-        construction = insep_to_cyclic_p2(sym)
-    else:
-        raise UnsupportedCase("the construction is implemented for m <= 2")
+    _resolve_m(args, sym.m)
+    construction = _insep_to_cyclic(sym)
     construction.trace.validate()
     return _construction_report(args, sym, construction)
 

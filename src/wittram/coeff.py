@@ -260,10 +260,6 @@ class ResidueElem:
         return not self.num
 
     @property
-    def is_one(self):
-        return self.num == (1,) and self.den == (1,)
-
-    @property
     def is_polynomial(self):
         return self.den == (1,)
 
@@ -280,10 +276,6 @@ class ResidueElem:
         p = self.spec.p
         na, da = self.num, self.den
         nb, db = other.num, other.den
-        if self.spec.kind is FieldKind.PRIME:
-            # prime-field values are constants: num is () or (c,), den (1,)
-            c = ((na[0] if na else 0) + (nb[0] if nb else 0)) % p
-            return ResidueElem._raw(self.spec, (c,) if c else (), (1,))
         if da == (1,) and db == (1,):
             return ResidueElem._raw(self.spec, _padd(na, nb, p), (1,))
         g = _pgcd(da, db, p)
@@ -315,9 +307,6 @@ class ResidueElem:
         nb, db = other.num, other.den
         if not na or not nb:
             return ResidueElem._raw(self.spec, (), (1,))
-        if self.spec.kind is FieldKind.PRIME:
-            c = (na[0] * nb[0]) % p
-            return ResidueElem._raw(self.spec, (c,) if c else (), (1,))
         if da == (1,) and db == (1,):
             return ResidueElem._raw(self.spec, _pmul(na, nb, p), (1,))
         g1 = _pgcd(na, db, p)

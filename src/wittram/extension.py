@@ -450,13 +450,12 @@ def _second_relation_coeffs(p, omega1, omega2):
 
 
 class CyclicExtDesc:
-    """A cyclic extension of degree p^m (m <= 2) given by reduced data.
-
-    m = 1: K(x1), x1^p = x1 + omega1.
-    m = 2: K(x1, x2), x1^p = x1 + omega1 and x2^p = x2 + R(x1).
+    """A cyclic extension K(x1, ..., xm) of degree p^m (m <= 2) given by
+    reduced data: x_l^p = x_l + R_l, with R_1 = omega1 and R_2 = R(x1).
+    relations[l - 1] holds R_l as {basis key: coefficient}.
     """
 
-    __slots__ = ("p", "m", "omega", "omega1", "relation")
+    __slots__ = ("p", "m", "omega", "omega1", "relations")
 
     def __init__(self, omega):
         if not isinstance(omega, WittVector):
@@ -469,17 +468,15 @@ class CyclicExtDesc:
             raise DegenerateExtension(
                 "first component splits; the data does not define a degree-p^m field"
             )
+        relations = ({(0, 0): omega.components[0]},)
+        if omega.m == 2:
+            rel2 = _second_relation_coeffs(omega.p, *omega.components)
+            relations += ({(k, 0): r for k, r in enumerate(rel2)},)
         object.__setattr__(self, "p", omega.p)
         object.__setattr__(self, "m", omega.m)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "omega1", omega.components[0])
-        if omega.m == 2:
-            rel = _second_relation_coeffs(
-                omega.p, omega.components[0], omega.components[1]
-            )
-        else:
-            rel = None
-        object.__setattr__(self, "relation", rel)
+        object.__setattr__(self, "relations", relations)
 
     def __setattr__(self, name, value):
         raise AttributeError("CyclicExtDesc is immutable")
@@ -507,21 +504,24 @@ class CyclicExtDesc:
         return [(i, j) for j in range(top2) for i in range(self.p)]
 
 
+def _add_at(coeffs, key, a):
+    coeffs[key] = coeffs[key] + a if key in coeffs else a
+
+
 class ExtensionElem:
     """Element of the extension in the basis x1^i x2^j, 0 <= i, j < p."""
 
     __slots__ = ("desc", "coeffs")
 
     def __init__(self, desc, coeffs):
-        p = desc.p
-        top2 = p if desc.m == 2 else 1
+        basis = desc.basis()
         clean = {}
-        for (i, j), a in coeffs.items():
-            if not (0 <= i < p and 0 <= j < top2):
+        for key, a in coeffs.items():
+            if key not in basis or {type(e) for e in key} != {int}:
                 raise ShapeMismatch("basis exponent out of range")
             if not isinstance(a, LaurentElem):
                 raise ShapeMismatch("coefficients must be Laurent series")
-            clean[(i, j)] = a
+            clean[key] = a
         object.__setattr__(self, "desc", desc)
         object.__setattr__(self, "coeffs", clean)
 
@@ -544,7 +544,7 @@ class ExtensionElem:
         self._check(other)
         coeffs = dict(self.coeffs)
         for key, a in other.coeffs.items():
-            coeffs[key] = coeffs[key] + a if key in coeffs else a
+            _add_at(coeffs, key, a)
         return ExtensionElem(self.desc, coeffs)
 
     def __neg__(self):
@@ -559,26 +559,25 @@ class ExtensionElem:
     def __mul__(self, other):
         self._check(other)
         p = self.desc.p
-        out = {}
-        work = []
+        acc = {}
         for (i1, j1), a in self.coeffs.items():
             for (i2, j2), b in other.coeffs.items():
-                work.append((i1 + i2, j1 + j2, a * b))
-        while work:
-            i, j, a = work.pop()
-            if j >= p:
-                # x2^p = x2 + R(x1)
-                work.append((i, j - p + 1, a))
-                for k, r in enumerate(self.desc.relation):
-                    work.append((i + k, j - p, a * r))
+                _add_at(acc, (i1 + i2, j1 + j2), a * b)
+        # Top down in (j, i) order, a key is summed before x_l^p = x_l + R_l.
+        out = {}
+        while acc:
+            key = max(acc, key=lambda k: k[::-1])
+            a = acc.pop(key)
+            level = max((l for l, e in enumerate(key) if e >= p), default=None)
+            if level is None:
+                out[key] = a
                 continue
-            if i >= p:
-                # x1^p = x1 + omega1
-                work.append((i - p + 1, j, a))
-                work.append((i - p, j, a * self.desc.omega1))
-                continue
-            key = (i, j)
-            out[key] = out[key] + a if key in out else a
+            low = list(key)
+            low[level] -= p
+            for (i, j), r in self.desc.relations[level].items():
+                _add_at(acc, (low[0] + i, low[1] + j), a * r)
+            low[level] += 1
+            _add_at(acc, tuple(low), a)
         return ExtensionElem(self.desc, out)
 
     def __pow__(self, e):
@@ -623,8 +622,7 @@ def _shift(elem, level, k):
         e = key[level - 1]
         for low in range(e + 1):
             term = a.scale_int(math.comb(e, low) * k ** (e - low))
-            new_key = key[:level - 1] + (low,) + key[level:]
-            out[new_key] = out[new_key] + term if new_key in out else term
+            _add_at(out, key[:level - 1] + (low,) + key[level:], term)
     return ExtensionElem(elem.desc, out)
 
 

@@ -212,6 +212,15 @@ def insep_to_cyclic_p2(sym):
     )
 
 
+def _insep_to_cyclic(sym):
+    """insep_to_cyclic_p or insep_to_cyclic_p2, by the length of sym."""
+    if sym.m == 1:
+        return insep_to_cyclic_p(sym)
+    if sym.m == 2:
+        return insep_to_cyclic_p2(sym)
+    raise UnsupportedCase("the construction is implemented for m <= 2")
+
+
 def insep_to_cyclic_perfect(sym):
     """The prime-field variant: adjust b, then add (b', 0, ..., 0) with
     the plain group law.  Works for 1 <= m <= 4; for m >= 3 only the
@@ -383,10 +392,7 @@ def conjecture_roundtrip(omega, b):
         raise UnsupportedCase("the roundtrip covers m <= 2")
     sym = BrauerSymbol(omega, b)
     stages = []
-    if omega.m == 1:
-        construction = insep_to_cyclic_p(sym)
-    else:
-        construction = insep_to_cyclic_p2(sym)
+    construction = _insep_to_cyclic(sym)
     stages.append(("insep_to_cyclic", construction))
     stages.append(("classify_cyclic", construction.report))
     # the construction already classified omega_new

@@ -2,14 +2,14 @@
 
 These recompute answers by definition-level enumeration or, for field
 norms, by the determinant of the multiplication map.  They share no code
-with the routines they check beyond the element arithmetic itself.
+with the routines they check beyond the series arithmetic itself.
 """
 
 import itertools
 
 from wittram.coeff import FieldKind, ResidueElem
 from wittram.errors import PrecisionExhausted
-from wittram.extension import ExtensionElem
+from wittram.extension import ExtensionElem, _second_relation_coeffs
 from wittram.valued import LaurentElem
 
 
@@ -59,16 +59,51 @@ def _laurent_det(rows):
     return det.scale_int(sign)
 
 
+def work_stack_mul(x, y):
+    """x * y in the extension, with every pair product of coefficients
+    sent through x2^p = x2 + R(x1) and x1^p = x1 + omega1 on its own,
+    from a work stack: the reference for ExtensionElem.__mul__, which
+    sums per exponent first."""
+    x._check(y)
+    desc = x.desc
+    p = desc.p
+    if desc.m == 2:
+        relation = _second_relation_coeffs(p, *desc.omega.components)
+    out = {}
+    work = []
+    for (i1, j1), a in x.coeffs.items():
+        for (i2, j2), b in y.coeffs.items():
+            work.append((i1 + i2, j1 + j2, a * b))
+    while work:
+        i, j, a = work.pop()
+        if j >= p:
+            # x2^p = x2 + R(x1)
+            work.append((i, j - p + 1, a))
+            for k, r in enumerate(relation):
+                work.append((i + k, j - p, a * r))
+            continue
+        if i >= p:
+            # x1^p = x1 + omega1
+            work.append((i - p + 1, j, a))
+            work.append((i - p, j, a * desc.omega1))
+            continue
+        key = (i, j)
+        out[key] = out[key] + a if key in out else a
+    return ExtensionElem(desc, out)
+
+
 def determinant_norm(desc, elem):
     """Field norm as the determinant of multiplication by elem on the
-    basis x1^i x2^j, independent of the library's conjugate product."""
+    basis x1^i x2^j, independent of the library's conjugate product and
+    of ExtensionElem.__mul__."""
     basis = desc.basis()
     index = {key: pos for pos, key in enumerate(basis)}
     n = len(basis)
     zero = desc.zero_scalar()
     cols = []
     for key in basis:
-        prod = elem * ExtensionElem(desc, {key: desc.omega1.ring_one()})
+        unit = ExtensionElem(desc, {key: desc.omega1.ring_one()})
+        prod = work_stack_mul(elem, unit)
         col = [zero] * n
         for k, a in prod.coeffs.items():
             col[index[k]] = a

@@ -153,6 +153,16 @@ def test_thm_insep_to_cyclic_transcript():
     ]
 
 
+def test_thm_insep_to_cyclic_length_errors():
+    sym = "[[0; 0; 0]; t^-1)"
+    assert run_command(["thm", "insep-to-cyclic", "--p", "2", sym]) == (
+        2, "error: UnsupportedCase: the construction is implemented for m <= 2"
+    )
+    assert run_command(["thm", "insep-to-cyclic", "--p", "2", "--m", "2", sym]) == (
+        2, "error: ShapeMismatch: --m 2 does not match an input of length 3"
+    )
+
+
 def test_thm_perfect_transcript():
     code, text = run_command(["thm", "perfect", "--p", "3", "[[t; 0]; t^2)"])
     assert code == 0

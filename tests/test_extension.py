@@ -33,8 +33,8 @@ from wittram.newton import newton_classify_deg_p
 from wittram.valued import DEFAULT_PRECISION, LaurentElem, ext_val, pth_power
 from wittram.witt import WittVector, artin_schreier_map, sum_polys, witt_add
 
-from conftest import ALL_SPECS, F2, F2U, F3, F3U, L, W
-from oracles import determinant_norm
+from conftest import ALL_SPECS, F2, F2U, F3, F3U, F5, L, W
+from oracles import determinant_norm, work_stack_mul
 
 
 # -- as_reduce ---------------------------------------------------------------
@@ -350,6 +350,90 @@ def test_ext_mul_laws():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def _exact(elem):
+    return {key: (a.terms, a.precision) for key, a in elem.coeffs.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_product_matches_work_stack_oracle(p):
+    """Summing per exponent before the relations gives the oracle's
+    products: exactly for scalars and powers of x1 and x2, and for
+    general elements below the oracle's precision, at no less precision."""
+    rng = sampling.make_rng(70 + p)
+    for kind in (FieldKind.PRIME, FieldKind.RATIONAL):
+        spec = FieldSpec(p, kind)
+        for m in (1, 2):
+            for precision in (16, 32):
+                if m == 1:
+                    first = sampling.random_tr_element(rng, spec, precision)
+                    omega = WittVector(p, 1, (first,))
+                else:
+                    omega = sampling.random_tr_vector_len2(rng, spec, precision)
+                desc = CyclicExtDesc(omega)
+
+                def series():
+                    return sampling.random_laurent(
+                        rng, spec, vmin=-2, vmax=3, max_terms=3,
+                        precision=precision, nonzero=True,
+                    )
+
+                one = desc.omega1.ring_one()
+                keys = [(1, 0), (p - 1, 0)] + ([(0, 1), (0, p - 1)] if m == 2 else [])
+                monomials = [desc.scalar(series())] + [
+                    ExtensionElem(desc, {key: one}) for key in keys
+                ]
+                for a in monomials:
+                    for b in monomials:
+                        assert _exact(a * b) == _exact(work_stack_mul(a, b))
+                for _ in range(2):
+                    a, b = (
+                        ExtensionElem(desc, {
+                            key: series() for key in desc.basis()
+                            if rng.random() < 0.7
+                        })
+                        for _ in range(2)
+                    )
+                    got, want = a * b, work_stack_mul(a, b)
+                    assert got.coeffs.keys() == want.coeffs.keys()
+                    for key, c in want.coeffs.items():
+                        assert got.coeffs[key].agrees_with(c)
+                        assert got.coeffs[key].precision >= c.precision
+
+
+def test_product_sums_before_relations(monkeypatch):
+    """At p = 5, m = 2 a product of two full elements makes its 625 pair
+    products, then one product per reduced key and relation term: the 36
+    keys with j >= 5 meet the 5 terms of R_2, and the 36 keys with i >= 5
+    and j < 5 (i up to 12 in rows 0-3, up to 8 in row 4) meet omega1."""
+    rng = sampling.make_rng(75)
+    desc = CyclicExtDesc(sampling.random_tr_vector_len2(rng, F5, 32))
+    a, b = (
+        ExtensionElem(desc, {
+            key: sampling.random_laurent(rng, F5, vmin=-2, vmax=3, nonzero=True)
+            for key in desc.basis()
+        })
+        for _ in range(2)
+    )
+    count = 0
+    series_mul = LaurentElem.__mul__
+
+    def counting_mul(x, y):
+        nonlocal count
+        count += 1
+        return series_mul(x, y)
+
+    monkeypatch.setattr(LaurentElem, "__mul__", counting_mul)
+    a * b
+    assert count <= 625 + 36 * 5 + 36
+
+
+@pytest.mark.parametrize("key", [(1,), (0, 0, 0), 1, (0.0, 0), (True, 0), (2, 0)])
+def test_extension_elem_rejects_malformed_keys(key):
+    desc = CyclicExtDesc(W("[t^-1]", F2))
+    with pytest.raises(ShapeMismatch, match="basis exponent out of range"):
+        ExtensionElem(desc, {key: L("1", F2)})
 
 
 def test_degenerate_extension_rejected():

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module,
+and every function, class and method it defines is named somewhere."""
 
 import ast
+import collections
 import pathlib
 
 import wittram
@@ -28,3 +30,42 @@ def test_no_module_imports_an_unused_name():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused = sorted(set(_imported_names(tree)) - used)
         assert not unused, (path.name, unused)
+
+
+def _mentions(node):
+    """How often each name is read or imported inside node."""
+    names = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            names[n.name.rsplit(".", 1)[-1]] += 1
+    return names
+
+
+def test_every_definition_is_named_outside_itself():
+    # a function, class or method of the package that no module of
+    # src/, tests/ or perfbench/ names outside its own body is dead code
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = root / "src" / "wittram"
+    trees = {
+        path: ast.parse(path.read_text())
+        for top in ("src", "tests", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+    }
+    named = sum((_mentions(tree) for tree in trees.values()), collections.Counter())
+    unnamed = []
+    for path, tree in trees.items():
+        if package not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if named[name] <= _mentions(node)[name]:
+                unnamed.append(f"{path.name}:{node.lineno} {name}")
+    assert not unnamed

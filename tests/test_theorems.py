@@ -148,6 +148,19 @@ def test_insep_to_cyclic_p2_length_guard():
         insep_to_cyclic_p2(BrauerSymbol(W("[0]", F2), L("t", F2)))
 
 
+def test_insep_to_cyclic_dispatch_by_length():
+    for src, direct in (("[0]", insep_to_cyclic_p), ("[t^2; t^3]", insep_to_cyclic_p2)):
+        sym = BrauerSymbol(W(src, F2), L("t^-1", F2))
+        con = theorems._insep_to_cyclic(sym)
+        assert (con.m, con.note) == (sym.m, direct(sym).note)
+    long = BrauerSymbol(W("[0; 0; 0]", F2), L("t", F2))
+    with pytest.raises(UnsupportedCase, match="construction is implemented for m <= 2"):
+        theorems._insep_to_cyclic(long)
+    # the roundtrip checks the length before it dispatches
+    with pytest.raises(UnsupportedCase, match="the roundtrip covers m <= 2"):
+        conjecture_roundtrip(long.omega, long.b)
+
+
 def test_insep_to_cyclic_never_unclassified():
     rng = sampling.make_rng(23)
     n = 0
@@ -161,7 +174,7 @@ def test_insep_to_cyclic_never_unclassified():
         sym = BrauerSymbol(
             WittVector(spec.p, m, comps), sampling.random_symbol_b(rng, spec)
         )
-        con = insep_to_cyclic_p(sym) if m == 1 else insep_to_cyclic_p2(sym)
+        con = theorems._insep_to_cyclic(sym)
         assert con.report.classification in (
             Classification.TOTALLY_RAMIFIED, Classification.SPLIT,
         )
