@@ -55,10 +55,10 @@ class BrauerSymbol:
             raise SpecMismatch("omega and b live over different residue fields")
         if b.is_apparent_zero:
             raise ShapeMismatch("second slot must have a visible leading term")
-        object.__setattr__(self, "p", omega.p)
-        object.__setattr__(self, "m", omega.m)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "b", b)
+        _set_p(self, omega.p)
+        _set_m(self, omega.m)
+        _set_omega(self, omega)
+        _set_b(self, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("BrauerSymbol is immutable")
@@ -77,6 +77,14 @@ class BrauerSymbol:
 
     def __repr__(self):
         return f"BrauerSymbol({self!s})"
+
+
+# Set past the immutability guard through the slots' member descriptors,
+# as in coeff.
+_set_p = BrauerSymbol.p.__set__
+_set_m = BrauerSymbol.m.__set__
+_set_omega = BrauerSymbol.omega.__set__
+_set_b = BrauerSymbol.b.__set__
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,17 +331,6 @@ def _lemma53_core(r, i, c, b):
     p = b.spec.p
     if i % p == 0:
         raise HypothesisViolation("the exponent i must be coprime to p")
-    b_inv = None
-
-    def b_pow(n):
-        # b ** -n is b.inverse() ** n, so b is inverted at most once
-        nonlocal b_inv
-        if n >= 0:
-            return b ** n
-        if b_inv is None:
-            b_inv = b.inverse()
-        return b_inv ** -n
-
     # One series power and one series inverse give c^i and c^-i, and the
     # Frobenius gives F(c)^i and F(c)^-i from them.  The trace keeps the
     # precisions that `**` reports for these; the precision rules read
@@ -344,7 +341,7 @@ def _lemma53_core(r, i, c, b):
     c_abs = _full_power(c, abs(i))
     ci = c_abs if i > 0 else c_abs.inverse()
     cp_i = frobenius_power(ci, 1).truncated(cp_i_shape.precision)
-    a2 = (cp_i * b_pow(p - i)).scale_int(r)
+    a2 = (cp_i * b ** (p - i)).scale_int(r)
     sym = BrauerSymbol(_vector(p, (a2,)), b)
     if a2.is_apparent_zero:
         g = _vector(p, (_zero_like(b),))
@@ -372,14 +369,14 @@ def _lemma53_core(r, i, c, b):
     cp_i_inv = frobenius_power(ci_inv, 1).truncated(
         cp_i_shape.inverse().precision
     )
-    x_factor = (cp_i_inv * b_pow(p * k_prime)).scale_int(eta_scalar)
+    x_factor = (cp_i_inv * b ** (p * k_prime)).scale_int(eta_scalar)
     s_self = BrauerSymbol(_vector(p, (a_star,)), a_star)
     s_x = BrauerSymbol(_vector(p, (a_star,)), x_factor)
     _, link = same_omega_mul(s_self, s_x)
     steps.append(link)
     steps.append(absorb_split(s_self))
     gamma = ci_inv.truncated((shape ** i).inverse().precision)
-    gamma = gamma.scale_int(eta_scalar) * b_pow(k_prime)
+    gamma = gamma.scale_int(eta_scalar) * b ** k_prime
     steps.append(pth_power_b_split(s_x, gamma))
     return sym, RewriteTrace(tuple(steps))
 

@@ -42,7 +42,7 @@ def _padd(a, b, p):
 
 
 def _pneg(a, p):
-    return tuple((-c) % p for c in a)
+    return tuple([(-c) % p for c in a])
 
 
 def _psub(a, b, p):
@@ -57,7 +57,7 @@ def _pmul(a, b, p):
     if len(a) == 1:
         # a nonzero constant times a trimmed polynomial stays trimmed
         c = a[0]
-        return b if c == 1 else tuple((c * x) % p for x in b)
+        return b if c == 1 else tuple([(c * x) % p for x in b])
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
@@ -114,7 +114,7 @@ def _pgcd(a, b, p):
         a, b = b, r
     if a:
         inv_lead = pow(a[-1], p - 2, p)
-        a = tuple((c * inv_lead) % p for c in a)
+        a = tuple([(c * inv_lead) % p for c in a])
     return a
 
 
@@ -166,9 +166,9 @@ class FieldSpec:
             spec = _SPECS[p, kind] = object.__new__(cls)
             object.__setattr__(spec, "p", p)
             object.__setattr__(spec, "kind", kind)
-            object.__setattr__(spec, "_constants", tuple(
+            object.__setattr__(spec, "_constants", tuple([
                 ResidueElem._raw(spec, (c,) if c else (), (1,)) for c in range(p)
-            ))
+            ]))
         return spec
 
     def __setattr__(self, name, value):
@@ -224,7 +224,7 @@ class ResidueElem:
         elif len(den) == 1:
             if den != (1,):
                 inv_lead = pow(den[0], p - 2, p)
-                num = tuple((c * inv_lead) % p for c in num)
+                num = tuple([(c * inv_lead) % p for c in num])
                 den = (1,)
         else:
             g = _pgcd(num, den, p)
@@ -233,11 +233,11 @@ class ResidueElem:
                 den, _ = _pdivmod(den, g, p)
             inv_lead = pow(den[-1], p - 2, p)
             if inv_lead != 1:
-                num = tuple((c * inv_lead) % p for c in num)
-                den = tuple((c * inv_lead) % p for c in den)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+                num = tuple([(c * inv_lead) % p for c in num])
+                den = tuple([(c * inv_lead) % p for c in den])
+        _set_spec(self, spec)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("ResidueElem is immutable")
@@ -247,10 +247,10 @@ class ResidueElem:
         # caller guarantees gcd(num, den) = 1 and den monic
         if not num:
             den = (1,)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "spec", spec)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
+        obj = _new(cls)
+        _set_spec(obj, spec)
+        _set_num(obj, num)
+        _set_den(obj, den)
         return obj
 
     # -- predicates ----------------------------------------------------------
@@ -272,7 +272,8 @@ class ResidueElem:
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other):
-        self._check(other)
+        if type(other) is not ResidueElem or other.spec is not self.spec:
+            self._check(other)
         p = self.spec.p
         na, da = self.num, self.den
         nb, db = other.num, other.den
@@ -301,7 +302,8 @@ class ResidueElem:
         return self + (-other)
 
     def __mul__(self, other):
-        self._check(other)
+        if type(other) is not ResidueElem or other.spec is not self.spec:
+            self._check(other)
         p = self.spec.p
         na, da = self.num, self.den
         nb, db = other.num, other.den
@@ -331,8 +333,8 @@ class ResidueElem:
         inv_lead = pow(lead, p - 2, p)
         return ResidueElem._raw(
             self.spec,
-            tuple((c * inv_lead) % p for c in self.den),
-            tuple((c * inv_lead) % p for c in self.num),
+            tuple([(c * inv_lead) % p for c in self.den]),
+            tuple([(c * inv_lead) % p for c in self.num]),
         )
 
     def __truediv__(self, other):
@@ -354,7 +356,7 @@ class ResidueElem:
             return ResidueElem._raw(self.spec, (), (1,))
         return ResidueElem._raw(
             self.spec,
-            tuple((c * x) % self.spec.p for x in self.num),
+            tuple([(c * x) % self.spec.p for x in self.num]),
             self.den,
         )
 
@@ -380,6 +382,14 @@ class ResidueElem:
 
     def __repr__(self):
         return f"ResidueElem({self!s})"
+
+
+# The slots' member descriptors set them past the immutability guard of
+# __setattr__, in half the time object.__setattr__ takes by name.
+_new = object.__new__
+_set_spec = ResidueElem.spec.__set__
+_set_num = ResidueElem.num.__set__
+_set_den = ResidueElem.den.__set__
 
 
 def _poly_pth_root(cs, p):

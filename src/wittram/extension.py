@@ -444,9 +444,9 @@ def _second_relation_coeffs(p, omega1, omega2):
     of that Witt sum is x2 + omega2 - sum_i ((p-1)!/(i!(p-i)!)) x1^i
     omega1^(p-i), so R[0] = omega2 and R[i] is the i-th cross term.
     """
-    return (omega2,) + tuple(
+    return (omega2,) + tuple([
         (omega1 ** (p - i)).scale_int(-_cross_coeff(p, i)) for i in range(1, p)
-    )
+    ])
 
 
 class CyclicExtDesc:

@@ -168,7 +168,7 @@ def _parse_u_atom(toks):
 
 
 def _poly_scale(a, c, p):
-    return _ptrim(tuple((c * x) % p for x in a))
+    return _ptrim([(c * x) % p for x in a])
 
 
 def _star_then_u(toks):

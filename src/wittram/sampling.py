@@ -23,7 +23,7 @@ def random_residue(rng, spec, max_deg=3, nonzero=False):
         return spec.from_int(rng.randrange(lo, p))
     while True:
         deg = rng.randrange(max_deg + 1)
-        num = _ptrim(tuple(rng.randrange(p) for _ in range(deg + 1)))
+        num = _ptrim([rng.randrange(p) for _ in range(deg + 1)])
         if num or not nonzero:
             return ResidueElem(spec, num, (1,))
 

@@ -15,6 +15,8 @@ Precision propagation rules (tested exactly in the suite):
 * a ** e, e >= 1: what square-and-multiply started at ring_one() (known
   to max(Na, 64)) reports, e*va + min(max(Na, 64), Na - va); e * Na for
   apparent zeros.  This can be less than a^e determines.
+* a ** e, e < 0: what a.inverse() ** |e| reports; computed as the
+  inverse of a^|e|, which is known further, cut to that.
 
 Equality means "indistinguishable at the shared precision": all
 coefficients below min(Na, Nb) agree.  Laurent elements are therefore
@@ -60,9 +62,9 @@ class LaurentElem:
             if abs(e) > limit:
                 raise LimitExceeded(f"exponent {e} outside the desk-scale range")
             clean[e] = c
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "precision", precision)
+        _set_spec(self, spec)
+        _set_terms(self, clean)
+        _set_precision(self, precision)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentElem is immutable")
@@ -79,10 +81,10 @@ class LaurentElem:
             if min(terms) < -limit:
                 e = next(e for e in terms if e < -limit)
                 raise LimitExceeded(f"exponent {e} outside the desk-scale range")
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "spec", spec)
-        object.__setattr__(obj, "terms", terms)
-        object.__setattr__(obj, "precision", precision)
+        obj = _new(cls)
+        _set_spec(obj, spec)
+        _set_terms(obj, terms)
+        _set_precision(obj, precision)
         return obj
 
     @classmethod
@@ -280,8 +282,15 @@ class LaurentElem:
 
     def __pow__(self, e):
         if e < 0:
+            if self.terms:
+                out = _negative_power(self, -e)
+                if out is not None:
+                    return out
             return self.inverse() ** (-e)
-        target = _power_precision(self, e) if e and self.terms else None
+        target = (
+            _power_precision(self.spec.p, min(self.terms), self.precision, e)
+            if e and self.terms else None
+        )
         if target is not None:
             try:
                 return _base_p_power(self, e, target)
@@ -321,6 +330,14 @@ class LaurentElem:
 
     def __repr__(self):
         return f"LaurentElem({self!s})"
+
+
+# Set past the immutability guard through the slots' member descriptors,
+# as in coeff.
+_new = object.__new__
+_set_spec = LaurentElem.spec.__set__
+_set_terms = LaurentElem.terms.__set__
+_set_precision = LaurentElem.precision.__set__
 
 
 def mul_ints(a, b, precision, p):
@@ -371,9 +388,10 @@ def binary_power(x, e, one):
     return out
 
 
-def _power_precision(x, e):
-    """The precision binary_power(x, e, x.ring_one()) reports, for x with
-    terms and e >= 1, or None where one of its products would raise
+def _power_precision(p, v, n, e):
+    """The precision binary_power(x, e, x.ring_one()) reports, for a
+    series x with terms, valuation v and precision n, and e >= 1; or
+    None where building x or one of the loop's products would raise
     LimitExceeded.
 
     It runs the same steps on (valuation, precision) pairs alone.  A
@@ -381,23 +399,46 @@ def _power_precision(x, e):
     below min(va + Nb, vb + Na), as the residue field has no zero
     divisors; only that term can fall below the exponent limit.
     """
-    made = []
+    base = (v, n)
+    made = [base]
 
     def mul(a, b):
         made.append((a[0] + b[0], min(a[0] + b[1], b[0] + a[1])))
         return made[-1]
 
-    out = (0, max(x.precision, DEFAULT_PRECISION))
-    base = (min(x.terms), x.precision)
+    out = (0, max(n, DEFAULT_PRECISION))
     while e:
         if e & 1:
             out = mul(out, base)
         base = mul(base, base) if e > 1 else base
         e >>= 1
-    bound = x.spec.p * x.spec.p
-    if any(v < -bound * max(abs(n), DEFAULT_PRECISION) for v, n in made):
+    bound = p * p
+    if any(va < -bound * max(abs(na), DEFAULT_PRECISION) for va, na in made):
         return None
     return out[1]
+
+
+def _negative_power(x, k):
+    """x^-k for x with terms and k >= 1, with the terms and precision of
+    x.inverse() ** k, or None where that power raises LimitExceeded or
+    the quicker route below trips the exponent limit.
+
+    x^k is known to k*v + (N - v), so its inverse to N - v - k*v.  That
+    is at least the target k*(-v) + min(max(N - 2v, 64), N - v) that
+    x.inverse() ** k reports, so x^k is taken only to target + 2kv and
+    its inverse ends at target.  One inverse of the sparse x^k replaces
+    the powers of the dense x.inverse().
+    """
+    v, n = min(x.terms), x.precision
+    target = _power_precision(x.spec.p, -v, n - 2 * v, k)
+    if target is None:
+        return None
+    try:
+        return _base_p_power(x, k, target + 2 * k * v).inverse()
+    except LimitExceeded:
+        # a factor or the inverse cut near precision zero meets a tighter
+        # exponent limit than x.inverse() ** k does
+        return None
 
 
 def _base_p_power(x, e, target):

@@ -96,7 +96,7 @@ class IntPoly:
         terms = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
+                mono = tuple([x + y for x, y in zip(ma, mb)])
                 terms[mono] = terms.get(mono, 0) + ca * cb
         return IntPoly(self.nvars, terms)
 
@@ -253,9 +253,9 @@ class WittVector:
             raise SpecMismatch(
                 f"component characteristic {first.spec.p} differs from p={p}"
             )
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "components", components)
+        _set_p(self, p)
+        _set_m(self, m)
+        _set_components(self, components)
 
     def __setattr__(self, name, value):
         raise AttributeError("WittVector is immutable")
@@ -293,6 +293,13 @@ class WittVector:
         return f"WittVector({self!s})"
 
 
+# Set past the immutability guard through the slots' member descriptors,
+# as in coeff.
+_set_p = WittVector.p.__set__
+_set_m = WittVector.m.__set__
+_set_components = WittVector.components.__set__
+
+
 class _LawModP:
     """A law's Z-polynomials, with each monomial kept as (factors, c):
     factors lists its (variable, exponent) pairs with exponent > 0 in
@@ -303,20 +310,20 @@ class _LawModP:
     __slots__ = ("monomials", "degree", "tops")
 
     def __init__(self, polys, p):
-        self.monomials = tuple(
-            tuple(
-                (tuple((i, e) for i, e in enumerate(mono) if e), c % p)
+        self.monomials = tuple([
+            tuple([
+                (tuple([(i, e) for i, e in enumerate(mono) if e]), c % p)
                 for mono, c in poly.terms.items()
-            )
+            ])
             for poly in polys
-        )
+        ])
         self.degree = max(
             (sum(mono) for poly in polys for mono in poly.terms), default=0
         )
-        self.tops = tuple(
+        self.tops = tuple([
             max((mono[i] for poly in polys for mono in poly.terms), default=0)
             for i in range(polys[0].nvars)
-        )
+        ])
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Every output O(t^N) is honest: series products, inverses, powers and
-roots, coboundary reduction and the lemma 5.3 split trace.
+roots, coboundary reduction, the lemma 5.3 split trace and the lemma 5.4
+rewrite.
 
 The method of test_witt.py::test_group_law_precision_is_honest: the full
 inputs, and the same inputs with another tail above a lower cut, both
@@ -11,10 +12,10 @@ import random
 
 import pytest
 
-from wittram.brauer import BrauerSymbol, lemma53_split
+from wittram.brauer import BrauerSymbol, lemma53_split, lemma54_rewrite
 from wittram.coeff import FieldKind, FieldSpec
 from wittram.extension import as_reduce
-from wittram.valued import LaurentElem, nth_root
+from wittram.valued import LaurentElem, nth_root, pth_power
 from wittram.witt import WittVector
 
 PRIMES = (2, 3, 5)
@@ -171,3 +172,24 @@ def test_lemma53_trace_precision_is_honest(p):
                 return _trace_series(out)
 
             _assert_honest(rng, split, (c, b), keep_lead=True)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lemma54_trace_precision_is_honest(p):
+    # [(c^p, w2), b) rewritten to [(c^p + b, w2), b): the rewritten
+    # symbol and every series in its trace
+    rng = random.Random(3400 + p)
+    for kind in FieldKind:
+        spec = FieldSpec(p, kind)
+        for _ in range(3):
+            c = _series(rng, spec, lo=-2, hi=2)
+            w2 = _series(rng, spec, lo=-3, hi=3)
+            b = _series(rng, spec, lo=-3, hi=3)
+
+            def rewrite(c1, w, b1):
+                sym = BrauerSymbol(WittVector(p, 2, (pth_power(c1), w)), b1)
+                out = lemma54_rewrite(sym)
+                return [*out.symbol.omega.components, out.symbol.b,
+                        *_trace_series(out)]
+
+            _assert_honest(rng, rewrite, (c, w2, b), keep_lead=True)

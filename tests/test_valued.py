@@ -164,13 +164,17 @@ def test_power_matches_square_and_multiply_from_ring_one(spec):
     # square-and-multiply loop started at ring_one().  Over F_2 the series
     # with v = -300 and N = 600 has x ** 3 take that loop: a base-p factor
     # cut near precision 0 trips the exponent limit, the loop does not.
-    rng = random.Random(spec.p * 10 + (spec.kind is FieldKind.RATIONAL))
+    # A negative power is the inverse of the positive one, cut to the
+    # precision the loop reports; the lemma 5.3 split takes powers of b
+    # down to about -2p.
+    p = spec.p
+    rng = random.Random(p * 10 + (spec.kind is FieldKind.RATIONAL))
     for x in _power_bases(spec, rng):
         exponents = range(-3, 70)
         if spec.kind is FieldKind.RATIONAL and not x.is_apparent_zero:
-            exponents = sorted({-3, -1, 0, 1, 2, 3, spec.p, spec.p ** 2}
+            exponents = sorted({-3, -1, 0, 1, 2, 3, p, p ** 2}
                                | set(rng.sample(exponents, 6)))
-        for e in exponents:
+        for e in sorted({*exponents, -p - 1, -2 * p, -p * p, -12}):
             got = _power_outcome(lambda: x ** e)
             want = _power_outcome(lambda: ring_one_power(x, e))
             assert got == want, (str(x), e)
@@ -187,6 +191,23 @@ def test_p_power_exponents_multiply_no_series(monkeypatch):
         for k in range(4):
             assert (x ** spec.p ** k).val() == -(spec.p ** k)
     assert not products
+
+
+def test_negative_power_inverts_one_sparse_power(monkeypatch):
+    # x ** -6 inverts x^6 once, with the terms and precision of
+    # x.inverse() ** 6, whose products multiply dense series
+    sizes = []
+    mul = LaurentElem.__mul__
+    monkeypatch.setattr(
+        LaurentElem, "__mul__",
+        lambda a, b: sizes.append(min(len(a.terms), len(b.terms))) or mul(a, b),
+    )
+    x = L("u*t^-1 + (u + 1)*t", F3U)
+    got = x ** -6
+    assert max(sizes) <= 7
+    monkeypatch.undo()
+    want = ring_one_power(x, -6)
+    assert (got.terms, got.precision) == (want.terms, want.precision)
 
 
 def _kernel_operands(spec, rng):
