@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 violated or unverifiable hypotheses and other
 domain errors, 3 parse errors, 4 precision exhausted.
 
 Work is bounded: --precision above MAX_PRECISION, a literal whose
-O(t^N) is above it, and newton-check's --count above MAX_COUNT exit 2
-with LimitExceeded.
+O(t^N) is above it, a literal term t^e with |e| > p^2 * max(|N|, 64),
+and newton-check's --count above MAX_COUNT exit 2 with LimitExceeded.
 """
 
 import argparse
@@ -94,27 +94,34 @@ def _base_spec(args):
 
 def _parse_literals(args, spec, literals):
     """Parse each (argparse name, grammar parser) literal of args at
-    --precision, then hold them all to MAX_PRECISION: a series, vector
-    component or symbol slot written with O(t^N), N > MAX_PRECISION,
-    raises LimitExceeded.  Every literal is parsed before any is capped,
+    --precision, then bound every series, vector component or symbol slot
+    written in them: the first term t^e with |e| > p^2 * max(|N|, 64)
+    for its O(t^N) raises LimitExceeded, and after that any O(t^N) with
+    N > MAX_PRECISION.  Every literal is parsed before any is bounded,
     so a parse error anywhere exits 3."""
     values = [
         parse(getattr(args, name.lstrip("-")), spec, args.precision)
         for name, parse in literals
     ]
+    series = []
     for value in values:
         if isinstance(value, BrauerSymbol):
-            series = value.omega.components + (value.b,)
+            series.extend(value.omega.components + (value.b,))
         elif isinstance(value, WittVector):
-            series = value.components
+            series.extend(value.components)
         else:
-            series = (value,)
-        for x in series:
-            if x.precision > MAX_PRECISION:
-                raise LimitExceeded(
-                    f"a literal's precision is at most {MAX_PRECISION}, "
-                    f"got O(t^{x.precision})"
-                )
+            series.append(value)
+    for x in series:
+        limit = spec.p * spec.p * max(abs(x.precision), DEFAULT_PRECISION)
+        for e in x.terms:
+            if abs(e) > limit:
+                raise LimitExceeded(f"exponent {e} outside the desk-scale range")
+    for x in series:
+        if x.precision > MAX_PRECISION:
+            raise LimitExceeded(
+                f"a literal's precision is at most {MAX_PRECISION}, "
+                f"got O(t^{x.precision})"
+            )
     return values
 
 

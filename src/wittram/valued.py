@@ -18,6 +18,9 @@ Precision propagation rules (tested exactly in the suite):
 * a ** e, e < 0: what a.inverse() ** |e| reports; computed as the
   inverse of a^|e|, which is known further, cut to that.
 
+No exponent is out of range: arithmetic never raises LimitExceeded.
+The command line bounds the exponents of the literals it reads.
+
 Equality means "indistinguishable at the shared precision": all
 coefficients below min(Na, Nb) agree.  Laurent elements are therefore
 not hashable.
@@ -34,12 +37,7 @@ import math
 from fractions import Fraction
 
 from . import coeff as _coeff
-from .errors import (
-    LimitExceeded,
-    PrecisionExhausted,
-    SpecMismatch,
-    UnsupportedInput,
-)
+from .errors import PrecisionExhausted, SpecMismatch, UnsupportedInput
 
 DEFAULT_PRECISION = 64
 
@@ -52,15 +50,12 @@ class LaurentElem:
     __slots__ = ("spec", "terms", "precision")
 
     def __init__(self, spec, terms, precision=DEFAULT_PRECISION):
-        limit = spec.p * spec.p * max(abs(precision), DEFAULT_PRECISION)
         clean = {}
         for e, c in terms.items():
             if c.spec is not spec:
                 raise SpecMismatch("coefficient spec differs from series spec")
             if c.is_zero or e >= precision:
                 continue
-            if abs(e) > limit:
-                raise LimitExceeded(f"exponent {e} outside the desk-scale range")
             clean[e] = c
         _set_spec(self, spec)
         _set_terms(self, clean)
@@ -72,15 +67,8 @@ class LaurentElem:
     @classmethod
     def _trusted(cls, spec, terms, precision):
         # The caller guarantees what __init__ checks per term: every
-        # coefficient nonzero and of a spec equal to spec, every exponent
-        # below precision, and the terms in the order __init__ would have
-        # met them, so a LimitExceeded names the same exponent.  Only the
-        # exponent limit is checked; below precision, +limit is out of reach.
-        if terms:
-            limit = spec.p * spec.p * max(abs(precision), DEFAULT_PRECISION)
-            if min(terms) < -limit:
-                e = next(e for e in terms if e < -limit)
-                raise LimitExceeded(f"exponent {e} outside the desk-scale range")
+        # coefficient nonzero and of a spec equal to spec, and every
+        # exponent below precision.
         obj = _new(cls)
         _set_spec(obj, spec)
         _set_terms(obj, terms)
@@ -281,24 +269,23 @@ class LaurentElem:
         return self * other.inverse()
 
     def __pow__(self, e):
-        if e < 0:
-            if self.terms:
-                out = _negative_power(self, -e)
-                if out is not None:
-                    return out
-            return self.inverse() ** (-e)
-        target = (
-            _power_precision(self.spec.p, min(self.terms), self.precision, e)
-            if e and self.terms else None
-        )
-        if target is not None:
-            try:
-                return _base_p_power(self, e, target)
-            except LimitExceeded:
-                # A factor cut to a precision near zero meets a tighter
-                # exponent limit than any product of the loop below does.
-                pass
-        return binary_power(self, e, self.ring_one())
+        if e == 0:
+            return self.ring_one()
+        if not self.terms:
+            if e < 0:
+                return self.inverse()
+            return LaurentElem.zero(self.spec, e * self.precision)
+        v, n = min(self.terms), self.precision
+        if e > 0:
+            return _base_p_power(self, e, e * v + min(max(n, DEFAULT_PRECISION), n - v))
+        # x^k is known to k*v + (n - v), so its inverse to n - v - k*v; it
+        # is taken only as far as the inverse needs to reach what
+        # x.inverse() ** k reports, and one inverse of the sparse x^k
+        # replaces the powers of the dense x.inverse()
+        k = -e
+        return _base_p_power(
+            self, k, k * v + min(max(n - 2 * v, DEFAULT_PRECISION), n - v)
+        ).inverse()
 
     # -- comparison -------------------------------------------------------------
 
@@ -371,14 +358,8 @@ def mul_terms(a, b, precision):
 
 
 def binary_power(x, e, one):
-    """x^e for e >= 0 by square-and-multiply, the product started at one.
-
-    The power loop of integer polynomials and extension elements, and of
-    series powers of apparent zeros or where the exponent limit trips.
-    Every series power reports the precision this loop gives from
-    ring_one(), known to max(N, DEFAULT_PRECISION), which can be less
-    than x^e determines.
-    """
+    """x^e for e >= 0 by square-and-multiply, the product started at one:
+    the power loop of integer polynomials and extension elements."""
     out = one
     while e:
         if e & 1:
@@ -386,59 +367,6 @@ def binary_power(x, e, one):
         x = x * x if e > 1 else x
         e >>= 1
     return out
-
-
-def _power_precision(p, v, n, e):
-    """The precision binary_power(x, e, x.ring_one()) reports, for a
-    series x with terms, valuation v and precision n, and e >= 1; or
-    None where building x or one of the loop's products would raise
-    LimitExceeded.
-
-    It runs the same steps on (valuation, precision) pairs alone.  A
-    product of series with terms keeps its leading term at va + vb,
-    below min(va + Nb, vb + Na), as the residue field has no zero
-    divisors; only that term can fall below the exponent limit.
-    """
-    base = (v, n)
-    made = [base]
-
-    def mul(a, b):
-        made.append((a[0] + b[0], min(a[0] + b[1], b[0] + a[1])))
-        return made[-1]
-
-    out = (0, max(n, DEFAULT_PRECISION))
-    while e:
-        if e & 1:
-            out = mul(out, base)
-        base = mul(base, base) if e > 1 else base
-        e >>= 1
-    bound = p * p
-    if any(va < -bound * max(abs(na), DEFAULT_PRECISION) for va, na in made):
-        return None
-    return out[1]
-
-
-def _negative_power(x, k):
-    """x^-k for x with terms and k >= 1, with the terms and precision of
-    x.inverse() ** k, or None where that power raises LimitExceeded or
-    the quicker route below trips the exponent limit.
-
-    x^k is known to k*v + (N - v), so its inverse to N - v - k*v.  That
-    is at least the target k*(-v) + min(max(N - 2v, 64), N - v) that
-    x.inverse() ** k reports, so x^k is taken only to target + 2kv and
-    its inverse ends at target.  One inverse of the sparse x^k replaces
-    the powers of the dense x.inverse().
-    """
-    v, n = min(x.terms), x.precision
-    target = _power_precision(x.spec.p, -v, n - 2 * v, k)
-    if target is None:
-        return None
-    try:
-        return _base_p_power(x, k, target + 2 * k * v).inverse()
-    except LimitExceeded:
-        # a factor or the inverse cut near precision zero meets a tighter
-        # exponent limit than x.inverse() ** k does
-        return None
 
 
 def _base_p_power(x, e, target):

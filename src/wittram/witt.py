@@ -11,8 +11,8 @@ On series over F_p or F_p(u) the group law builds each argument's
 powers once per call, then takes two passes per component: one folds
 the precision over every monomial (those that vanish mod p included),
 one multiplies out the others on {exponent: coefficient} dicts.
-Residue components, mixed operands and series past an exponent guard
-are multiplied out with the ring operators; see _eval_law.
+Residue components and mixed operands are multiplied out with the ring
+operators; see _eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -397,29 +397,22 @@ def _eval_law(law, args):
     """The law's components at args, equal term for term and in precision
     to IntPoly.evaluate on each of its Z-polynomials.
 
-    Series over one residue field, F_p or F_p(u), whose lowest exponent
-    times the law's degree stays at or above -p^2 * DEFAULT_PRECISION
-    take two passes per component over the powers from _power_table,
-    held as {exponent: coefficient} dicts: ints over F_p, ResidueElems
-    over F_p(u).  The first folds valued's product rule over every
+    Series over one residue field, F_p or F_p(u), take two passes per
+    component over the powers from _power_table, held as
+    {exponent: coefficient} dicts: ints over F_p, ResidueElems over
+    F_p(u).  The first folds valued's product rule over every
     monomial, including those that vanish mod p, whose product would
     still have cut the precision of the sum; the minimum is the
     component's precision.  The second multiplies out the other
     monomials (valued.mul_ints or valued.mul_terms) into one dict,
     wrapped as one series.
 
-    Everything else goes through _multiply_out: residue components,
-    operands of mixed kinds or specs, and series reaching below
-    t^(-p^2 * DEFAULT_PRECISION), whose powers could trip valued's
-    exponent limit; both raise where IntPoly.evaluate raises.
+    Residue components and operands of mixed kinds or specs go through
+    _multiply_out, which raises where IntPoly.evaluate raises.
     """
     spec = args[0].spec
     p = spec.p
-    if not all(
-        isinstance(x, LaurentElem) and x.spec is spec for x in args
-    ) or law.degree * min(
-        (min(x.terms) for x in args if x.terms), default=0
-    ) < -p * p * DEFAULT_PRECISION:
+    if not all(isinstance(x, LaurentElem) and x.spec is spec for x in args):
         return _multiply_out(law, args)
     prime = spec.kind is FieldKind.PRIME
     # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision,

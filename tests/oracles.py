@@ -129,9 +129,10 @@ def ring_one_power(x, e):
 
 
 # Series arithmetic one ResidueElem coefficient at a time, every result
-# built through the checking LaurentElem constructor: the reference for
-# the values, precision, term order and errors of the integer kernel
-# LaurentElem uses over F_p.
+# built through the LaurentElem constructor, which checks each
+# coefficient's spec and drops zeros and terms at or past the precision:
+# the reference for the values, precision, term order and errors of the
+# integer kernel LaurentElem uses over F_p.
 
 def series_add(a, b):
     a._check(b)

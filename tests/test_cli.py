@@ -765,6 +765,37 @@ def test_literal_precision_cap_exits_2():
     assert run_command(["ram", "analyze", "--p", "2", "0 + O(t^-5)"])[0] == 4
 
 
+def test_literal_exponent_bound_exits_2():
+    # a term t^e with |e| > p^2 * max(|N|, 64) for the literal's O(t^N)
+    bounded = "error: LimitExceeded: exponent {} outside the desk-scale range"
+    assert run_command(["ram", "analyze", "--p", "2", "t^-100000"]) == (
+        2, bounded.format(-100000)
+    )
+    # the first such term as written, before any literal's precision cap
+    for argv, e in (
+        (["ram", "analyze", "--p", "2", "t^-300 + t^-400 + O(t^20)"], -300),
+        (["witt", "add", "--p", "2", "[t + O(t^5000)]", "[t^-300]"], -300),
+        (["ram", "analyze", "--p", "2", "--precision", "-100", "t^-400 + t^-401"],
+         -401),
+    ):
+        assert run_command(argv) == (2, bounded.format(e)), argv
+    # every literal is parsed before any is bounded, so a parse error
+    # anywhere exits 3, as it does next to a precision above the cap
+    for deep in ("t^-100000", "t^-1 + O(t^5000)"):
+        assert run_command(["witt", "neg", "--p", "2", f"[{deep}; (]"]) == (
+            3, "error: ParseError: at offset "
+            f"{len(deep) + 4}: found ']' (expected an integer, u)"
+        )
+
+
+def test_witt_add_of_deep_literals_transcript():
+    # within the literal bound, nothing the group law computes is bounded
+    a = "[t^-40 + O(t^280); t; t; 1]"
+    assert run_command(["witt", "add", "--p", "2", a, a]) == (
+        0, "[0 + O(t^240); t^-80; 0 + O(t^-16); 0 + O(t^-176)]"
+    )
+
+
 def test_count_cap_exits_2(monkeypatch):
     over = str(cli.MAX_COUNT + 1)
     code, text = run_command(["oracle", "newton-check", "--p", "2", "--count", over])

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every function, class and method it defines is named somewhere, and no
-tuple is built from a generator."""
+every function, class and method it defines is named somewhere, no
+tuple is built from a generator, and only the command line and the
+Witt module raise LimitExceeded."""
 
 import ast
 import collections
@@ -91,3 +92,18 @@ def test_no_tuple_is_built_from_a_generator():
                     and any(isinstance(a, ast.GeneratorExp) for a in node.args)):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def test_only_cli_and_witt_raise_limit_exceeded():
+    # every work bound is checked where its input arrives: the command
+    # line's options and literals, and the caps on the universal
+    # polynomials; arithmetic is never bounded
+    package = pathlib.Path(wittram.__file__).parent
+    raising = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "LimitExceeded":
+                    raising.add(path.name)
+    assert raising == {"cli.py", "witt.py"}

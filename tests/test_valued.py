@@ -9,7 +9,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from wittram.coeff import FieldKind, FieldSpec, ResidueElem
-from wittram.errors import LimitExceeded, PrecisionExhausted, SpecMismatch
+from wittram.errors import PrecisionExhausted, SpecMismatch
 from wittram.valued import (
     DEFAULT_PRECISION,
     LaurentElem,
@@ -126,7 +126,8 @@ def test_negative_powers():
 def _power_bases(spec, rng):
     """Apparent zeros; series with v < 0 and v > 0 at precisions below,
     at and above DEFAULT_PRECISION; and sparse series with valuations
-    near the exponent limit p^2 * max(|N|, DEFAULT_PRECISION)."""
+    near and past -p^2 * max(|N|, DEFAULT_PRECISION), the command line's
+    bound on a literal's exponents."""
     p = spec.p
     rational = spec.kind is FieldKind.RATIONAL
 
@@ -153,20 +154,18 @@ def _power_bases(spec, rng):
 def _power_outcome(f):
     try:
         x = f()
-    except (LimitExceeded, PrecisionExhausted) as exc:
+    except PrecisionExhausted as exc:
         return type(exc).__name__, str(exc)
     return x.terms, x.precision
 
 
 @pytest.mark.parametrize("spec", (F2, F2U, F3, F3U, F5, F5U), ids=repr)
 def test_power_matches_square_and_multiply_from_ring_one(spec):
-    # The terms, the O(t^N) and any error message are those of the
-    # square-and-multiply loop started at ring_one().  Over F_2 the series
-    # with v = -300 and N = 600 has x ** 3 take that loop: a base-p factor
-    # cut near precision 0 trips the exponent limit, the loop does not.
-    # A negative power is the inverse of the positive one, cut to the
-    # precision the loop reports; the lemma 5.3 split takes powers of b
-    # down to about -2p.
+    # The terms and the O(t^N) are those of the square-and-multiply loop
+    # started at ring_one(), however deep the valuation; only a negative
+    # power of an apparent zero raises, as its inverse does.  A negative
+    # power is the inverse of the positive one, cut to the precision the
+    # loop reports; the lemma 5.3 split takes powers of b down to about -2p.
     p = spec.p
     rng = random.Random(p * 10 + (spec.kind is FieldKind.RATIONAL))
     for x in _power_bases(spec, rng):
@@ -178,6 +177,7 @@ def test_power_matches_square_and_multiply_from_ring_one(spec):
             got = _power_outcome(lambda: x ** e)
             want = _power_outcome(lambda: ring_one_power(x, e))
             assert got == want, (str(x), e)
+            assert isinstance(got[0], dict) or x.is_apparent_zero and e < 0
 
 
 def test_p_power_exponents_multiply_no_series(monkeypatch):
@@ -210,8 +210,8 @@ def test_negative_power_inverts_one_sparse_power(monkeypatch):
 def _kernel_operands(spec, rng):
     """Series over F_p for the integer kernel: apparent zeros; sparse and
     dense series at precisions below, at and above DEFAULT_PRECISION;
-    terms at the exponent limit p^2 * max(|N|, DEFAULT_PRECISION); deep
-    series whose sums, products or p-th powers leave that range, with
+    terms at -p^2 * DEFAULT_PRECISION; deep series whose sums, products
+    or p-th powers reach past -p^2 * max(|N|, DEFAULT_PRECISION), with
     their terms out of exponent order; and series over an equal spec
     that is a distinct object."""
     p = spec.p
@@ -240,11 +240,11 @@ def _kernel_operands(spec, rng):
 
 
 def _ordered_outcome(f):
-    """Like _power_outcome, but the terms in insertion order, which decides
-    the exponent a LimitExceeded names."""
+    """Like _power_outcome, but the terms in insertion order, and the
+    errors of mismatched operands too."""
     try:
         x = f()
-    except (LimitExceeded, PrecisionExhausted, SpecMismatch, TypeError) as exc:
+    except (PrecisionExhausted, SpecMismatch, TypeError) as exc:
         return type(exc).__name__, str(exc)
     return list(x.terms.items()), x.precision
 
@@ -257,9 +257,9 @@ def _assert_canonical(x, spec):
 
 @pytest.mark.parametrize("spec", (F2, F3, F5, F7), ids=repr)
 def test_fp_kernel_matches_coefficient_loops(spec):
-    # Terms in the same order, precision, LimitExceeded text and the
-    # TypeError/SpecMismatch precedence of the ResidueElem loops in
-    # oracles.py; every kernel coefficient is a canonical (c,)/(1,).
+    # Terms in the same order, precision and the TypeError/SpecMismatch
+    # precedence of the ResidueElem loops in oracles.py, deep operands
+    # included; every kernel coefficient is a canonical (c,)/(1,).
     rng = random.Random(spec.p)
     xs = list(_kernel_operands(spec, rng))
     others = [3, "t", L("t", FieldSpec(spec.p, FieldKind.RATIONAL)),
@@ -336,9 +336,11 @@ def test_specs_combine_by_value():
         LaurentElem(F3, {0: F3U.one()})
 
 
-def test_size_guard():
-    with pytest.raises(LimitExceeded):
-        L("t^-100000", F2)
+def test_truncation_keeps_deep_terms():
+    # no exponent bound follows the precision down
+    one = F2.one()
+    x = LaurentElem(F2, {-300: one, -299: one}, 600).truncated(0)
+    assert (x.terms, x.precision) == ({-300: one, -299: one}, 0)
 
 
 def test_ext_val():
