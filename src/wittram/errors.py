@@ -66,7 +66,8 @@ class DegenerateExtension(WittramError):
 
 
 class LimitExceeded(WittramError):
-    """A size cap (exponent range, vector length, prime bound) was exceeded."""
+    """A size cap (a command-line literal's exponents or precision, vector
+    length, prime bound) was exceeded."""
 
 
 class ParseError(WittramError):
