@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
-from .valued import LaurentElem, frobenius_power, nth_root, pth_root
+from .valued import LaurentElem, frobenius_power, nth_root, power_precision, pth_root
 from .witt import (
     WittVector,
     _cross_coeff,
@@ -333,14 +333,13 @@ def _lemma53_core(r, i, c, b):
         raise HypothesisViolation("the exponent i must be coprime to p")
     # One series power and one series inverse give c^i and c^-i, and the
     # Frobenius gives F(c)^i and F(c)^-i from them.  The trace keeps the
-    # precisions that `**` reports for these; the precision rules read
-    # only valuations and precisions, so a monomial with c's valuation
-    # and precision yields them cheaply.
-    shape = LaurentElem(c.spec, {c.val_lower_bound(): c.spec.one()}, c.precision)
-    cp_i_shape = frobenius_power(shape, 1) ** i
+    # precisions that `**` reports for these: F(c) ** i, known to cut, has
+    # valuation i*p*v, so its inverse is known to cut - 2*i*p*v.
+    v, n = c.val_lower_bound(), c.precision
+    cut = power_precision(p * v, p * n, i)
     c_abs = _full_power(c, abs(i))
     ci = c_abs if i > 0 else c_abs.inverse()
-    cp_i = frobenius_power(ci, 1).truncated(cp_i_shape.precision)
+    cp_i = frobenius_power(ci, 1).truncated(cut)
     a2 = (cp_i * b ** (p - i)).scale_int(r)
     sym = BrauerSymbol(_vector(p, (a2,)), b)
     if a2.is_apparent_zero:
@@ -366,16 +365,14 @@ def _lemma53_core(r, i, c, b):
     # link b^j0 = a_star * X and split both factors
     eta_scalar = (pow(lam, -1, p) * pow(r % p, -1, p)) % p
     k_prime = (i - i0) // p
-    cp_i_inv = frobenius_power(ci_inv, 1).truncated(
-        cp_i_shape.inverse().precision
-    )
+    cp_i_inv = frobenius_power(ci_inv, 1).truncated(cut - 2 * i * p * v)
     x_factor = (cp_i_inv * b ** (p * k_prime)).scale_int(eta_scalar)
     s_self = BrauerSymbol(_vector(p, (a_star,)), a_star)
     s_x = BrauerSymbol(_vector(p, (a_star,)), x_factor)
     _, link = same_omega_mul(s_self, s_x)
     steps.append(link)
     steps.append(absorb_split(s_self))
-    gamma = ci_inv.truncated((shape ** i).inverse().precision)
+    gamma = ci_inv.truncated(power_precision(v, n, i) - 2 * i * v)
     gamma = gamma.scale_int(eta_scalar) * b ** k_prime
     steps.append(pth_power_b_split(s_x, gamma))
     return sym, RewriteTrace(tuple(steps))
@@ -499,11 +496,15 @@ def _split_steps_m1(sym):
             )
             return [as_coboundary_split(sym, _vector(p, (g,)))]
         return None
-    # look for the shape r * c^(p i) * b^(p-i)
+    # look for the shape r * c^(p i) * b^(p-i) in (r, i) order, which picks
+    # the trace, taking each omega / b^(p-i) once, when first needed
+    quotients = {}
     for r in range(1, p):
         r_inv = pow(r, -1, p)
         for i in range(1, p):
-            candidate = (omega * (b ** (p - i)).inverse()).scale_int(r_inv)
+            if i not in quotients:
+                quotients[i] = omega * (b ** (p - i)).inverse()
+            candidate = quotients[i].scale_int(r_inv)
             d = pth_root(candidate)
             if d is None:
                 continue

@@ -12,11 +12,9 @@ Precision propagation rules (tested exactly in the suite):
 * inverse:    Na - 2*val(a)
 * p-th power: p * Na
 * p-th root:  ceil(Na / p)
-* a ** e, e >= 1: what square-and-multiply started at ring_one() (known
-  to max(Na, 64)) reports, e*va + min(max(Na, 64), Na - va); e * Na for
-  apparent zeros.  This can be less than a^e determines.
-* a ** e, e < 0: what a.inverse() ** |e| reports; computed as the
-  inverse of a^|e|, which is known further, cut to that.
+* a ** e, e != 0: power_precision(va, Na, e), what square-and-multiply
+  started at ring_one() (known to max(Na, 64)) reports, after inverting
+  a for e < 0.  This can be less than a^e determines.
 
 No exponent is out of range: arithmetic never raises LimitExceeded.
 The command line bounds the exponents of the literals it reads.
@@ -271,21 +269,19 @@ class LaurentElem:
     def __pow__(self, e):
         if e == 0:
             return self.ring_one()
+        v = self.val_lower_bound()
+        target = power_precision(v, self.precision, e)
         if not self.terms:
             if e < 0:
                 return self.inverse()
-            return LaurentElem.zero(self.spec, e * self.precision)
-        v, n = min(self.terms), self.precision
+            return LaurentElem.zero(self.spec, target)
         if e > 0:
-            return _base_p_power(self, e, e * v + min(max(n, DEFAULT_PRECISION), n - v))
-        # x^k is known to k*v + (n - v), so its inverse to n - v - k*v; it
-        # is taken only as far as the inverse needs to reach what
-        # x.inverse() ** k reports, and one inverse of the sparse x^k
-        # replaces the powers of the dense x.inverse()
-        k = -e
-        return _base_p_power(
-            self, k, k * v + min(max(n - 2 * v, DEFAULT_PRECISION), n - v)
-        ).inverse()
+            return _base_p_power(self, e, target)
+        # x^-e is known to (n - v) - e*v, so its inverse to n - v + e*v; it
+        # is taken only as far as the inverse needs to reach target, and
+        # one inverse of the sparse x^-e replaces the powers of the dense
+        # x.inverse()
+        return _base_p_power(self, -e, target - 2 * e * v).inverse()
 
     # -- comparison -------------------------------------------------------------
 
@@ -355,6 +351,27 @@ def mul_terms(a, b, precision):
                 cur = out.get(e)
                 out[e] = prod if cur is None else cur + prod
     return {e: c for e, c in out.items() if c.num}
+
+
+def product_precision(pairs):
+    """The precision of a product of factors with these (valuation bound,
+    precision) pairs: valuation bounds add under products, each of which
+    keeps the rule min(va + Nb, vb + Na)."""
+    pairs = iter(pairs)
+    v, n = next(pairs)
+    for vx, nx in pairs:
+        v, n = v + vx, min(v + nx, vx + n)
+    return n
+
+
+def power_precision(v, n, e):
+    """The precision x ** e reports, for e != 0 and x with valuation bound
+    v known to t^n: what square-and-multiply started at ring_one(), known
+    to max(n, 64), reports, after inverting x for e < 0.  For an apparent
+    zero (v = n) that is e*n; its negative powers raise instead."""
+    if e < 0:
+        return power_precision(-v, n - 2 * v, -e)
+    return e * v + min(max(n, DEFAULT_PRECISION), n - v)
 
 
 def binary_power(x, e, one):

@@ -11,8 +11,8 @@ On series over F_p or F_p(u) the group law builds each argument's
 powers once per call, then takes two passes per component: one folds
 the precision over every monomial (those that vanish mod p included),
 one multiplies out the others on {exponent: coefficient} dicts.
-Residue components and mixed operands are multiplied out with the ring
-operators; see _eval_law.
+Residue components and mixed operands go to IntPoly.evaluate; see
+_eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -20,7 +20,6 @@ polynomials outgrow the desk scale this package targets.
 
 import functools
 import math
-import operator
 
 from .coeff import FieldKind
 from .errors import (
@@ -30,12 +29,13 @@ from .errors import (
     SpecMismatch,
 )
 from .valued import (
-    DEFAULT_PRECISION,
     LaurentElem,
     binary_power,
     frobenius_power,
     mul_ints,
     mul_terms,
+    power_precision,
+    product_precision,
     pth_power,
 )
 
@@ -134,8 +134,8 @@ class IntPoly:
 
     def evaluate(self, args):
         """Evaluate on ring elements supporting +, **, scale_int, ring_one:
-        the reference for oracle ghost-check and the tests (the group law
-        at run time goes through _eval_law)."""
+        the reference for oracle ghost-check and the tests, and the group
+        law on operands off _eval_law's series path."""
         if len(args) != self.nvars:
             raise ShapeMismatch("argument count differs from nvars")
         acc = None
@@ -301,15 +301,17 @@ _set_components = WittVector.components.__set__
 
 
 class _LawModP:
-    """A law's Z-polynomials, with each monomial kept as (factors, c):
-    factors lists its (variable, exponent) pairs with exponent > 0 in
-    variable order, c is its coefficient reduced mod p, and the monomials
-    keep the Z-polynomials' order.  tops holds each variable's largest
-    exponent.  A law vanishes at zero, so no monomial is constant."""
+    """A law's Z-polynomials, kept as polys for IntPoly.evaluate off the
+    series path, with each monomial also kept as (factors, c): factors
+    lists its (variable, exponent) pairs with exponent > 0 in variable
+    order, c is its coefficient reduced mod p, and the monomials keep the
+    Z-polynomials' order.  tops holds each variable's largest exponent.
+    A law vanishes at zero, so no monomial is constant."""
 
-    __slots__ = ("monomials", "degree", "tops")
+    __slots__ = ("polys", "monomials", "degree", "tops")
 
     def __init__(self, polys, p):
+        self.polys = polys
         self.monomials = tuple([
             tuple([
                 (tuple([(i, e) for i, e in enumerate(mono) if e]), c % p)
@@ -336,61 +338,25 @@ def _neg_law(p, m):
     return _LawModP(neg_polys(p, m), p)
 
 
-def _product_precision(pairs):
-    """The precision of a product of factors with these (valuation bound,
-    precision) pairs: valuation bounds add under products, each of which
-    keeps valued's min(va + Nb, vb + Na)."""
-    pairs = iter(pairs)
-    v, n = next(pairs)
-    for vx, nx in pairs:
-        v, n = v + vx, min(v + nx, vx + n)
-    return n
-
-
 def _power_table(x, top):
     """[x ** 1, ..., x ** top] for top >= 1, each with the terms and
-    precision ** gives it: x ** 1 is x cut to min(N, v + max(N, 64)), and
+    precision ** gives it: x ** 1 is x cut to power_precision, and
     valued's product rule carries x ** e = x ** (e - 1) * x ** 1 to
-    e*v + min(max(N, 64), N - v), or to e*N for an apparent zero.  Where
-    p divides e, the Frobenius of x ** (e / p), cut to that precision,
-    is cheaper: over F_p(u) it spreads coefficients, a product multiplies
-    polynomials."""
+    power_precision too.  Where p divides e, the Frobenius of
+    x ** (e / p), cut to that precision, is cheaper: over F_p(u) it
+    spreads coefficients, a product multiplies polynomials.  Only series
+    on _eval_law's path come here; off-path operands go to
+    IntPoly.evaluate, whose ** computes each power itself."""
     p = x.spec.p
-    if x.terms:
-        n = x.precision
-        x = x.truncated(min(n, min(x.terms) + max(n, DEFAULT_PRECISION)))
-    base = (x.val_lower_bound(), x.precision)
+    v, n = x.val_lower_bound(), x.precision
+    x = x.truncated(power_precision(v, n, 1))
     row = [x]
     for e in range(2, top + 1):
         if e % p:
             row.append(row[-1] * x)
         else:
-            n = _product_precision(
-                ((row[-1].val_lower_bound(), row[-1].precision), base)
-            )
-            row.append(pth_power(row[e // p - 1]).truncated(n))
+            row.append(pth_power(row[e // p - 1]).truncated(power_precision(v, n, e)))
     return row
-
-
-def _multiply_out(law, args):
-    """The law's components at args, multiplied out with the ring
-    operators in IntPoly.evaluate's order, each args[i] ** e computed
-    once, where IntPoly.evaluate first needs it."""
-    powers = {}
-
-    def power(f):
-        if f not in powers:
-            powers[f] = args[f[0]] ** f[1]
-        return powers[f]
-
-    def term(factors, c):
-        x = functools.reduce(operator.mul, map(power, factors))
-        return x if c == 1 else x.scale_int(c)
-
-    return [
-        functools.reduce(operator.add, (term(*mono) for mono in monomials))
-        for monomials in law.monomials
-    ]
 
 
 def _eval_law(law, args):
@@ -407,13 +373,13 @@ def _eval_law(law, args):
     monomials (valued.mul_ints or valued.mul_terms) into one dict,
     wrapped as one series.
 
-    Residue components and operands of mixed kinds or specs go through
-    _multiply_out, which raises where IntPoly.evaluate raises.
+    Residue components and operands of mixed kinds or specs go to
+    IntPoly.evaluate on each Z-polynomial.
     """
     spec = args[0].spec
     p = spec.p
     if not all(isinstance(x, LaurentElem) and x.spec is spec for x in args):
-        return _multiply_out(law, args)
+        return [poly.evaluate(args) for poly in law.polys]
     prime = spec.kind is FieldKind.PRIME
     # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision,
     # terms), the terms as ints over F_p
@@ -431,7 +397,7 @@ def _eval_law(law, args):
                 for factors, c in monomials]
         # precision: over every monomial, those that vanish mod p included
         cut = min(
-            _product_precision((v, n) for v, n, _ in entries)
+            product_precision((v, n) for v, n, _ in entries)
             for entries, _ in rows
         )
         # values: a partial product is kept only below cut minus the

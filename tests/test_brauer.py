@@ -29,7 +29,7 @@ from wittram.errors import (
 from wittram.valued import LaurentElem, frobenius_power, pth_root
 from wittram.witt import WittVector, artin_schreier_map, witt_add
 
-from conftest import ALL_SPECS, F2, F2U, F3, F3U, L, W
+from conftest import ALL_SPECS, F2, F2U, F3, F3U, F5, L, W
 
 
 def test_symbol_shape_guards():
@@ -348,6 +348,31 @@ def test_split_quick_pth_power_b():
     trace = is_split_quick(sym)
     assert trace is not None and trace.concludes_split
     trace.validate()
+
+
+def test_split_quick_inverts_each_power_of_b_once(monkeypatch):
+    # [4 c^20 b, b) at p = 5 has the shape r * c^(p i) * b^(p-i) first at
+    # r = i = 4, so the search reaches its last r; it divides omega by
+    # each b^(p-i) once, not once per r
+    p = 5
+    b, c = L("t^-1 + t", F5), L("1 + t", F5)
+    split = lemma53_split(p - 1, p - 1, c, b).trace.steps
+    sym = split[0].after
+    powers = [b ** k for k in range(1, p)]
+    inverted = []
+    inverse = LaurentElem.inverse
+    monkeypatch.setattr(
+        LaurentElem, "inverse", lambda x: inverted.append(x) or inverse(x)
+    )
+    trace = is_split_quick(sym)
+    monkeypatch.undo()
+    assert trace.steps == split[1:]
+    trace.validate()
+    quotients = [
+        x for x in inverted
+        if any(x.terms == y.terms and x.precision == y.precision for y in powers)
+    ]
+    assert len(quotients) <= p - 1
 
 
 def test_split_quick_declines_division_case():

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every function, class and method it defines is named somewhere, no
 tuple is built from a generator, and only the command line and the
-Witt module raise LimitExceeded."""
+Witt module raise LimitExceeded, and only the valued module and the
+command line pass DEFAULT_PRECISION to max()."""
 
 import ast
 import collections
@@ -107,3 +108,20 @@ def test_only_cli_and_witt_raise_limit_exceeded():
                 if isinstance(exc, ast.Name) and exc.id == "LimitExceeded":
                     raising.add(path.name)
     assert raising == {"cli.py", "witt.py"}
+
+
+def test_only_valued_and_cli_bound_by_default_precision():
+    # max(..., DEFAULT_PRECISION) is ring_one() and the precision ** reports
+    # in valued, and the literal exponent bound in cli; a copy elsewhere
+    # would drift from them
+    package = pathlib.Path(wittram.__file__).parent
+    bounding = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "max"
+                    and any(isinstance(a, ast.Name) and a.id == "DEFAULT_PRECISION"
+                            for a in node.args)):
+                bounding.add(path.name)
+    assert bounding == {"cli.py", "valued.py"}

@@ -1,10 +1,10 @@
-"""The benchmark's first seed-1 outputs still match its recorded digests.
+"""The benchmark's first outputs still match its recorded digests.
 
 perfbench/run.py compares every output of a 36 s run with
-perfbench/digests.json and only prints how many differ; this test reruns
-the first items of each workload's seed-1 stream, in stream order after
-the warm-up, and compares their outcome hashes.  Both files are read,
-never written.
+perfbench/digests.json and only prints how many differ; these tests
+rerun the first items of each workload's seed-1 stream and of its
+held-out seed-2 stream, in stream order after the warm-up, and compare
+their outcome hashes.  Both files are read, never written.
 """
 
 import hashlib
@@ -32,15 +32,24 @@ WORKLOADS = _workloads()
 RECORDED = json.loads((PERFBENCH / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_first_seed1_outputs_match_recorded_digests(name):
+def _first_outputs_match(name, seed):
     workload = WORKLOADS[name]
     workload.warm_up()
     items = itertools.islice(
-        itertools.chain.from_iterable(workload.cycles(1)), ITEMS
+        itertools.chain.from_iterable(workload.cycles(seed)), ITEMS
     )
     got = [
         hashlib.sha256(item.outcome(item.run()).encode()).hexdigest()[:16]
         for item in items
     ]
-    assert got == RECORDED[name]["1"][:ITEMS]
+    assert got == RECORDED[name][str(seed)][:ITEMS]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_first_seed1_outputs_match_recorded_digests(name):
+    _first_outputs_match(name, 1)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_first_seed2_outputs_match_recorded_digests(name):
+    _first_outputs_match(name, 2)

@@ -15,6 +15,7 @@ from wittram.valued import (
     LaurentElem,
     ext_val,
     frobenius_power,
+    power_precision,
     pth_power,
     pth_root,
 )
@@ -178,6 +179,30 @@ def test_power_matches_square_and_multiply_from_ring_one(spec):
             want = _power_outcome(lambda: ring_one_power(x, e))
             assert got == want, (str(x), e)
             assert isinstance(got[0], dict) or x.is_apparent_zero and e < 0
+
+
+def test_power_precision_is_what_square_and_multiply_reports():
+    # apparent zeros, and two-term series at every valuation from -4 to 4
+    # that the precision leaves room for; a negative power of an apparent
+    # zero raises instead
+    cases = 0
+    for spec in (F2, F2U, F3, F3U, F5, F5U):
+        p = spec.p
+        one = spec.one()
+        for n in (-3, 0, 1, 20, 63, 64, 65, 100):
+            bases = [LaurentElem.zero(spec, n)] + [
+                LaurentElem(spec, {v: one, v + max(1, (n - v) // 2): one}, n)
+                for v in range(-4, min(5, n))
+            ]
+            for x in bases:
+                for e in (*range(-5, 0), *range(1, 2 * p + 2)):
+                    if e < 0 and x.is_apparent_zero:
+                        continue
+                    want = ring_one_power(x, e).precision
+                    assert power_precision(x.val_lower_bound(), n, e) == want, (
+                        str(x), e)
+                    cases += 1
+    assert cases == 4548
 
 
 def test_p_power_exponents_multiply_no_series(monkeypatch):
