@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
-from .valued import LaurentElem, frobenius_power, nth_root, power_precision, pth_root
+from .valued import LaurentElem, frobenius_power, power_precision, pth_root
 from .witt import (
     WittVector,
     _cross_coeff,
@@ -325,27 +325,20 @@ def _full_power(a, k):
     return out
 
 
-def _lemma53_core(r, i, c, b):
-    """Split trace for [a2, b) with a2 = r * c^(p*i) * b^(p-i), as a
-    length-1 symbol.  Needs i coprime to p; r is an integer scalar."""
+def _lemma53_core(r, i, d, d_inverse, cuts, b):
+    """Split trace for [a2, b) with a2 = r * F(d) * b^(p-i), as a
+    length-1 symbol: lemma 5.3 stated on d = c^i, all of c its proof
+    uses.  Needs i coprime to p; r is an integer scalar.  d_inverse()
+    gives d^-1 and is called only when a2 is not zero.  cuts are the
+    precisions the trace keeps for F(d), F(d^-1) and d^-1."""
     p = b.spec.p
-    if i % p == 0:
-        raise HypothesisViolation("the exponent i must be coprime to p")
-    # One series power and one series inverse give c^i and c^-i, and the
-    # Frobenius gives F(c)^i and F(c)^-i from them.  The trace keeps the
-    # precisions that `**` reports for these: F(c) ** i, known to cut, has
-    # valuation i*p*v, so its inverse is known to cut - 2*i*p*v.
-    v, n = c.val_lower_bound(), c.precision
-    cut = power_precision(p * v, p * n, i)
-    c_abs = _full_power(c, abs(i))
-    ci = c_abs if i > 0 else c_abs.inverse()
-    cp_i = frobenius_power(ci, 1).truncated(cut)
-    a2 = (cp_i * b ** (p - i)).scale_int(r)
+    fd_cut, fd_inv_cut, d_inv_cut = cuts
+    a2 = (frobenius_power(d, 1).truncated(fd_cut) * b ** (p - i)).scale_int(r)
     sym = BrauerSymbol(_vector(p, (a2,)), b)
     if a2.is_apparent_zero:
         g = _vector(p, (_zero_like(b),))
         return sym, RewriteTrace((as_coboundary_split(sym, g),))
-    ci_inv = c_abs.inverse() if i > 0 else c_abs
+    d_inv = d_inverse()
     i0 = i % p
     j0 = p - i0
     lam = pow(j0, -1, p)
@@ -365,15 +358,14 @@ def _lemma53_core(r, i, c, b):
     # link b^j0 = a_star * X and split both factors
     eta_scalar = (pow(lam, -1, p) * pow(r % p, -1, p)) % p
     k_prime = (i - i0) // p
-    cp_i_inv = frobenius_power(ci_inv, 1).truncated(cut - 2 * i * p * v)
-    x_factor = (cp_i_inv * b ** (p * k_prime)).scale_int(eta_scalar)
+    fd_inv = frobenius_power(d_inv, 1).truncated(fd_inv_cut)
+    x_factor = (fd_inv * b ** (p * k_prime)).scale_int(eta_scalar)
     s_self = BrauerSymbol(_vector(p, (a_star,)), a_star)
     s_x = BrauerSymbol(_vector(p, (a_star,)), x_factor)
     _, link = same_omega_mul(s_self, s_x)
     steps.append(link)
     steps.append(absorb_split(s_self))
-    gamma = ci_inv.truncated(power_precision(v, n, i) - 2 * i * v)
-    gamma = gamma.scale_int(eta_scalar) * b ** k_prime
+    gamma = d_inv.truncated(d_inv_cut).scale_int(eta_scalar) * b ** k_prime
     steps.append(pth_power_b_split(s_x, gamma))
     return sym, RewriteTrace(tuple(steps))
 
@@ -381,15 +373,32 @@ def _lemma53_core(r, i, c, b):
 def lemma53_split(r, i, c, b):
     """Certified split of [(0, r * c^(p*i) * b^(p-i)), b), length 2.
 
-    Returns a RewriteOutcome whose symbol is SPLIT and whose trace
-    splits the length-2 input: it begins by stripping the zero
-    component, or is one as_coboundary step when the input is zero.
+    Lemma 5.3 on d = c^i: the trace is that of [r * F(d) * b^(p-i), b)
+    behind a strip_zero step.  Returns a RewriteOutcome whose symbol is
+    SPLIT and whose trace splits the length-2 input: it begins by
+    stripping the zero component, or is one as_coboundary step when the
+    input is zero.
     """
-    inner, core = _lemma53_core(r, i, c, b)
+    p = b.spec.p
+    if i % p == 0:
+        raise HypothesisViolation("the exponent i must be coprime to p")
+    # One series power and one series inverse give d = c^i and d^-1, and
+    # the Frobenius gives F(d) and F(d^-1) from them.  The trace keeps the
+    # precisions that `**` reports for these: F(c) ** i, known to cut, has
+    # valuation i*p*v, so its inverse is known to cut - 2*i*p*v.
+    v, n = c.val_lower_bound(), c.precision
+    cut = power_precision(p * v, p * n, i)
+    cuts = (cut, cut - 2 * i * p * v, power_precision(v, n, i) - 2 * i * v)
+    c_abs = _full_power(c, abs(i))
+    if i > 0:
+        d, d_inverse = c_abs, c_abs.inverse
+    else:
+        d, d_inverse = c_abs.inverse(), lambda: c_abs
+    inner, core = _lemma53_core(r, i, d, d_inverse, cuts, b)
     zero = _zero_like(b)
-    sym = BrauerSymbol(_vector(b.spec.p, (zero, inner.omega.components[0])), b)
+    sym = BrauerSymbol(_vector(p, (zero, inner.omega.components[0])), b)
     if len(core.steps) == 1 and core.steps[0].rule == "as_coboundary":
-        g = _vector(b.spec.p, (zero, zero))
+        g = _vector(p, (zero, zero))
         trace = RewriteTrace((as_coboundary_split(sym, g),))
         return RewriteOutcome(SPLIT, trace)
     _, strip = strip_zero(sym)
@@ -474,7 +483,9 @@ def _iterated_pth_root(b, times):
 
 
 def _split_steps_m1(sym):
-    """Split certificate steps for a length-1 symbol, or None."""
+    """Split certificate steps for a length-1 symbol, or None: a zero
+    omega, b a p-th power, omega reducing to g^p - g, or lemma 5.3's
+    shape omega = F(d) * b^(p-i) with i in 1..p-1."""
     from .extension import as_reduce, decide_constant
 
     p = sym.p
@@ -482,7 +493,7 @@ def _split_steps_m1(sym):
     b = sym.b
     if omega.is_apparent_zero:
         return [as_coboundary_split(sym, _vector(p, (_zero_like(b),)))]
-    gamma = _iterated_pth_root(b, 1)
+    gamma = pth_root(b)
     if gamma is not None:
         return [pth_power_b_split(sym, gamma)]
     red = as_reduce(omega)
@@ -496,36 +507,36 @@ def _split_steps_m1(sym):
             )
             return [as_coboundary_split(sym, _vector(p, (g,)))]
         return None
-    # look for the shape r * c^(p i) * b^(p-i) in (r, i) order, which picks
-    # the trace, taking each omega / b^(p-i) once, when first needed
-    quotients = {}
-    for r in range(1, p):
-        r_inv = pow(r, -1, p)
-        for i in range(1, p):
-            if i not in quotients:
-                quotients[i] = omega * (b ** (p - i)).inverse()
-            candidate = quotients[i].scale_int(r_inv)
-            d = pth_root(candidate)
-            if d is None:
-                continue
-            c = nth_root(d, i) if i > 1 else d
-            if c is None:
-                continue
-            inner, core = _lemma53_core(r, i, c, b)
-            if inner == sym:
-                return list(core.steps)
+    # look for lemma 5.3's shape F(d) * b^(p-i); r * F(d) = F(r * d) for
+    # r in F_p, so the shape with r = 1 covers every scalar, and the trace
+    # keeps d's own precisions
+    for i in range(1, p):
+        d = pth_root(omega * (b ** (p - i)).inverse())
+        if d is None:
+            continue
+        v, n = d.val_lower_bound(), d.precision
+        cuts = (p * n, p * (n - 2 * v), n - 2 * v)
+        inner, core = _lemma53_core(1, i, d, d.inverse, cuts, b)
+        if inner == sym:
+            return list(core.steps)
     return None
 
 
 def is_split_quick(sym):
     """Look for a certified split of the symbol.
 
+    Finds a zero vector, b a p^m-th power and, at length 1 or after
+    reducing a length-2 vector to (0, omega2), an omega that reduces to
+    g^p - g or is lemma 5.3's F(d) * b^(p-i) for any d and i in 1..p-1.
     Returns a RewriteTrace concluding split, or None when no split was
     detected; None is not evidence that the symbol does not split.
     """
     from .extension import witt_reduce
     from .witt import witt_neg
 
+    if sym.m == 1:
+        steps = _split_steps_m1(sym)
+        return RewriteTrace(tuple(steps)) if steps is not None else None
     p = sym.p
     b = sym.b
     if all(c.is_apparent_zero for c in sym.omega.components):
@@ -535,9 +546,6 @@ def is_split_quick(sym):
     gamma = _iterated_pth_root(b, sym.m)
     if gamma is not None:
         return RewriteTrace((pth_power_b_split(sym, gamma),))
-    if sym.m == 1:
-        steps = _split_steps_m1(sym)
-        return RewriteTrace(tuple(steps)) if steps is not None else None
     if sym.m != 2:
         return None
     res = witt_reduce(sym.omega)

@@ -498,7 +498,8 @@ def in_AS_image(a):
     if cur:
         return None
     g = ResidueElem(spec, parts, (1,))
-    assert g ** p - g == a
+    if g ** p - g != a:
+        raise AssertionError(f"witness {g} does not map to {a}")
     return g
 
 

@@ -465,41 +465,6 @@ def frobenius_power(a, r):
     return a
 
 
-def nth_root(a, n):
-    """An n-th root for gcd(n, p) = 1, or None.
-
-    Splits a = c*t^v*(1 + eps): v must be divisible by n, c needs an
-    n-th root in the residue field, and the unit part is handled by a
-    t-adic Newton iteration (n is invertible mod p, so it converges).
-    """
-    p = a.spec.p
-    if n <= 0 or n % p == 0:
-        raise UnsupportedInput("n must be positive and coprime to p")
-    if n == 1:
-        return a
-    if not a.terms:
-        return LaurentElem.zero(a.spec, math.ceil(a.precision / n))
-    v = a.val()
-    if v % n:
-        return None
-    r0 = _coeff.nth_root(a.leading_coeff(), n)
-    if r0 is None:
-        return None
-    unit = a * LaurentElem(a.spec, {-v: a.leading_coeff().inverse()}, a.precision - v)
-    y = LaurentElem.one(a.spec, unit.precision)
-    n_inv_scalar = pow(n % p, p - 2, p)
-    for _ in range(max(1, math.ceil(math.log2(max(unit.precision, 2))) + 2)):
-        err = y ** n - unit
-        if err.is_apparent_zero:
-            break
-        correction = (err / (y ** (n - 1))).scale_int(n_inv_scalar)
-        y = y - correction
-    root = y.scale(r0) * LaurentElem.t_power(a.spec, v // n, a.precision)
-    if (root ** n).agrees_with(a):
-        return root
-    return None
-
-
 def ext_val(n, norm_value):
     """Valuation in a degree-n extension: val(norm)/n as an exact Fraction."""
     if n <= 0:

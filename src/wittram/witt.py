@@ -308,7 +308,7 @@ class _LawModP:
     Z-polynomials' order.  tops holds each variable's largest exponent.
     A law vanishes at zero, so no monomial is constant."""
 
-    __slots__ = ("polys", "monomials", "degree", "tops")
+    __slots__ = ("polys", "monomials", "tops")
 
     def __init__(self, polys, p):
         self.polys = polys
@@ -319,9 +319,6 @@ class _LawModP:
             ])
             for poly in polys
         ])
-        self.degree = max(
-            (sum(mono) for poly in polys for mono in poly.terms), default=0
-        )
         self.tops = tuple([
             max((mono[i] for poly in polys for mono in poly.terms), default=0)
             for i in range(polys[0].nvars)

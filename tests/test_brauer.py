@@ -18,7 +18,7 @@ from wittram.brauer import (
     same_omega_mul,
     strip_zero,
 )
-from wittram.coeff import FieldKind
+from wittram.coeff import FieldKind, FieldSpec
 from wittram.errors import (
     HypothesisViolation,
     NoRootError,
@@ -351,9 +351,9 @@ def test_split_quick_pth_power_b():
 
 
 def test_split_quick_inverts_each_power_of_b_once(monkeypatch):
-    # [4 c^20 b, b) at p = 5 has the shape r * c^(p i) * b^(p-i) first at
-    # r = i = 4, so the search reaches its last r; it divides omega by
-    # each b^(p-i) once, not once per r
+    # [4 c^20 b, b) at p = 5 has the shape F(d) * b^(p-i), d = 4 c^4,
+    # first at i = 4, so the search reaches its last exponent; it
+    # divides omega by each b^(p-i) once
     p = 5
     b, c = L("t^-1 + t", F5), L("1 + t", F5)
     split = lemma53_split(p - 1, p - 1, c, b).trace.steps
@@ -373,6 +373,64 @@ def test_split_quick_inverts_each_power_of_b_once(monkeypatch):
         if any(x.terms == y.terms and x.precision == y.precision for y in powers)
     ]
     assert len(quotients) <= p - 1
+
+
+def test_split_quick_splits_d_that_is_no_ith_power():
+    # [F(d) * b, b) at p = 3 and i = 2 with d = u*t^-1, which is not a
+    # square: lemma 5.3 splits it through d alone
+    sym = BrauerSymbol(W("[u^3*t^-4]", F3U), L("t^-1", F3U))
+    trace = is_split_quick(sym)
+    assert [s.rule for s in trace.steps] == [
+        "same_omega", "absorb", "pth_power_b"
+    ]
+    trace.validate()
+
+
+def test_split_quick_strips_zero_first_component():
+    # length 2: the vector reduces to itself, and [t^-1, t) after the
+    # strip has lemma 5.3's shape with d = t^-1 and i = 1
+    sym = BrauerSymbol(W("[0; t^-1]", F2), L("t", F2))
+    trace = is_split_quick(sym)
+    assert [s.rule for s in trace.steps] == [
+        "strip_zero", "same_omega", "absorb", "pth_power_b"
+    ]
+    trace.validate()
+
+
+def test_split_quick_certifies_the_symbol_it_is_given():
+    # omega is F(d) * b with d = 4 c^4 at p = 5.  An n-th root that loses
+    # precision can rebuild it as a zero known only to t^-61, below every
+    # term of omega, which equality at the shared precision does not see;
+    # the trace must split omega itself
+    omega = W("[3*t^-41 + 2*t^-38 + 3*t^-37 + 3*t^-31 + 2*t^-28 + 3*t^-27"
+              " + 3*t^-21 + 2*t^-18 + 3*t^-17 + 3*t^-11 + O(t^-8)]", F5)
+    sym = BrauerSymbol(omega, L("4*t^-1 + t^2 + 4*t^3 + O(t^32)", F5))
+    trace = is_split_quick(sym)
+    assert [s.rule for s in trace.steps] == [
+        "same_omega", "absorb", "pth_power_b"
+    ]
+    # at i = 4 the link step's product is [omega, b) itself
+    link = trace.steps[0].after
+    assert link.omega.components[0].terms == omega.components[0].terms
+    trace.validate()
+
+
+def test_split_quick_certifies_lemma53_shapes():
+    # [F(d) * b^(p-i), b) for random d, whatever i-th root d has
+    rng = sampling.make_rng(3)
+    for k in range(24):
+        spec = (F3, F3U, F5, FieldSpec(5, FieldKind.RATIONAL))[k % 4]
+        p = spec.p
+        i = rng.randrange(1, p)
+        d = sampling.random_laurent(
+            rng, spec, vmin=-3, vmax=3, max_terms=2, nonzero=True
+        )
+        b = sampling.random_symbol_b(rng, spec)
+        a = frobenius_power(d, 1) * b ** (p - i)
+        trace = is_split_quick(BrauerSymbol(WittVector(p, 1, (a,)), b))
+        assert trace is not None
+        trace.validate()
+        assert trace.concludes_split
 
 
 def test_split_quick_declines_division_case():

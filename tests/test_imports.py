@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every function, class and method it defines is named somewhere, no
-tuple is built from a generator, and only the command line and the
-Witt module raise LimitExceeded, and only the valued module and the
-command line pass DEFAULT_PRECISION to max()."""
+tuple is built from a generator, no assert statement checks anything,
+only the command line and the Witt module raise LimitExceeded, and only
+the valued module and the command line pass DEFAULT_PRECISION to max()."""
 
 import ast
 import collections
@@ -91,6 +91,18 @@ def test_no_tuple_is_built_from_a_generator():
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "tuple"
                     and any(isinstance(a, ast.GeneratorExp) for a in node.args)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found
+
+
+def test_no_assert_statement():
+    # python -O drops assert statements, so a check the package relies on
+    # raises explicitly
+    package = pathlib.Path(wittram.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
 

@@ -1,5 +1,5 @@
-"""Every output O(t^N) is honest: series products, inverses, powers and
-roots, coboundary reduction, the lemma 5.3 split trace and the lemma 5.4
+"""Every output O(t^N) is honest: series products, inverses and powers,
+coboundary reduction, the lemma 5.3 split trace and the lemma 5.4
 rewrite.
 
 The method of test_witt.py::test_group_law_precision_is_honest: the full
@@ -15,7 +15,7 @@ import pytest
 from wittram.brauer import BrauerSymbol, lemma53_split, lemma54_rewrite
 from wittram.coeff import FieldKind, FieldSpec
 from wittram.extension import as_reduce
-from wittram.valued import LaurentElem, nth_root, pth_power
+from wittram.valued import LaurentElem, pth_power
 from wittram.witt import WittVector
 
 PRIMES = (2, 3, 5)
@@ -88,23 +88,6 @@ def test_series_arithmetic_precision_is_honest(p):
                 _assert_honest(rng, lambda a: [a ** e], (x,))
             for e in (-1, -2, -p):
                 _assert_honest(rng, lambda a: [a ** e], (x,), keep_lead=True)
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_nth_root_precision_is_honest(p):
-    rng = random.Random(3100 + p)
-    for kind in FieldKind:
-        spec = FieldSpec(p, kind)
-        for n in (k for k in (2, 3, 4) if k % p):
-            for _ in range(3):
-                y = _series(rng, spec, lo=-2, hi=3)
-                if kind is FieldKind.RATIONAL:
-                    # a leading coefficient in F_p, whose n-th root exists
-                    v = min(y.terms)
-                    y = LaurentElem(spec, {**y.terms, v: spec.one()}, y.precision)
-                x = y ** n
-                _assert_honest(rng, lambda a: [nth_root(a, n)], (x,),
-                               keep_lead=True)
 
 
 @pytest.mark.parametrize("p", PRIMES)
