@@ -398,10 +398,10 @@ def test_split_quick_strips_zero_first_component():
 
 
 def test_split_quick_certifies_the_symbol_it_is_given():
-    # omega is F(d) * b with d = 4 c^4 at p = 5.  An n-th root that loses
-    # precision can rebuild it as a zero known only to t^-61, below every
-    # term of omega, which equality at the shared precision does not see;
-    # the trace must split omega itself
+    # omega is F(d) * b^(p-i) at p = 5 and i = 4.  An n-th root that
+    # loses precision can rebuild it as a zero known only to t^-61, below
+    # every term of omega, which equality at the shared precision does
+    # not see; the trace must split omega itself
     omega = W("[3*t^-41 + 2*t^-38 + 3*t^-37 + 3*t^-31 + 2*t^-28 + 3*t^-27"
               " + 3*t^-21 + 2*t^-18 + 3*t^-17 + 3*t^-11 + O(t^-8)]", F5)
     sym = BrauerSymbol(omega, L("4*t^-1 + t^2 + 4*t^3 + O(t^32)", F5))
