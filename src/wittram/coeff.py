@@ -309,6 +309,11 @@ class ResidueElem:
         nb, db = other.num, other.den
         if not na or not nb:
             return ResidueElem._raw(self.spec, (), (1,))
+        # elements are canonical, so a product with 1 is the other operand
+        if na == (1,) and da == (1,):
+            return other
+        if nb == (1,) and db == (1,):
+            return self
         if da == (1,) and db == (1,):
             return ResidueElem._raw(self.spec, _pmul(na, nb, p), (1,))
         g1 = _pgcd(na, db, p)

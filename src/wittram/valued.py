@@ -208,7 +208,15 @@ class LaurentElem:
         )
 
     def scale_int(self, c):
+        """Multiply by an integer scalar (reduced mod p), keeping the
+        precision.  c = 1 mod p gives self and c = 0 mod p the apparent
+        zero, which is what the loops below build for them."""
         spec = self.spec
+        r = c % spec.p
+        if r == 1:
+            return self
+        if r == 0:
+            return LaurentElem._trusted(spec, {}, self.precision)
         if spec.kind is _PRIME:
             return LaurentElem._from_ints(
                 spec, {e: x.num[0] * c for e, x in self.terms.items()}, self.precision
@@ -289,8 +297,11 @@ class LaurentElem:
         """True when both series match on all coefficients they both see.
 
         Zeros are never stored, so an exponent missing from one side
-        differs from a term the other side has there.
+        differs from a term the other side has there.  A series agrees
+        with itself, so that comparison reads no term.
         """
+        if other is self:
+            return True
         self._check(other)
         cut = min(self.precision, other.precision)
         mine, theirs = self.terms, other.terms

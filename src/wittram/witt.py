@@ -7,12 +7,13 @@ evaluates those polynomials on components drawn from any coefficient
 ring here (residue elements or Laurent series); each law's integer
 coefficients are reduced mod p once, when the law is first used.
 
-On series over F_p or F_p(u) the group law builds each argument's
-powers once per call, then takes two passes per component: one folds
-the precision over every monomial (those that vanish mod p included),
-one multiplies out the others on {exponent: coefficient} dicts.
-Residue components and mixed operands go to IntPoly.evaluate; see
-_eval_law.
+On series over F_p or F_p(u) the group law takes two passes per
+component.  One folds the precision over every monomial, reading each
+power's valuation and precision from closed forms.  The other multiplies
+out on {exponent: coefficient} dicts only the monomials that can have
+terms, those nonzero mod p with no apparent-zero argument, and builds
+only the powers they use.  Residue components and mixed operands go to
+IntPoly.evaluate; see _eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -302,19 +303,21 @@ _set_components = WittVector.components.__set__
 
 class _LawModP:
     """A law's Z-polynomials, kept as polys for IntPoly.evaluate off the
-    series path, with each monomial also kept as (factors, c): factors
-    lists its (variable, exponent) pairs with exponent > 0 in variable
-    order, c is its coefficient reduced mod p, and the monomials keep the
+    series path, with each monomial also kept as (factors, c, mask):
+    factors lists its (variable, exponent) pairs with exponent > 0 in
+    variable order, c is its coefficient reduced mod p, mask has bit i
+    set for each variable i in factors, and the monomials keep the
     Z-polynomials' order.  tops holds each variable's largest exponent.
     A law vanishes at zero, so no monomial is constant."""
 
-    __slots__ = ("polys", "monomials", "tops")
+    __slots__ = ("polys", "monomials", "tops", "_needs")
 
     def __init__(self, polys, p):
         self.polys = polys
         self.monomials = tuple([
             tuple([
-                (tuple([(i, e) for i, e in enumerate(mono) if e]), c % p)
+                (tuple([(i, e) for i, e in enumerate(mono) if e]), c % p,
+                 sum([1 << i for i, e in enumerate(mono) if e]))
                 for mono, c in poly.terms.items()
             ])
             for poly in polys
@@ -323,6 +326,21 @@ class _LawModP:
             max((mono[i] for poly in polys for mono in poly.terms), default=0)
             for i in range(polys[0].nvars)
         ])
+        self._needs = {}
+
+    def needs(self, live):
+        """Each variable's largest exponent in the monomials with c != 0
+        and every variable in the mask live, worked out once per mask."""
+        tops = self._needs.get(live)
+        if tops is None:
+            tops = [0] * len(self.tops)
+            for monomials in self.monomials:
+                for factors, c, mask in monomials:
+                    if c and not mask & ~live:
+                        for i, e in factors:
+                            tops[i] = max(tops[i], e)
+            tops = self._needs[live] = tuple(tops)
+        return tops
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,8 +359,10 @@ def _power_table(x, top):
     valued's product rule carries x ** e = x ** (e - 1) * x ** 1 to
     power_precision too.  Where p divides e, the Frobenius of
     x ** (e / p), cut to that precision, is cheaper: over F_p(u) it
-    spreads coefficients, a product multiplies polynomials.  Only series
-    on _eval_law's path come here; off-path operands go to
+    spreads coefficients, a product multiplies polynomials.  Row e has
+    valuation bound e*v: over a field the leading term's e-th power is
+    nonzero, and an apparent zero's row is the apparent zero at e*n.
+    Only series on _eval_law's path come here; off-path operands go to
     IntPoly.evaluate, whose ** computes each power itself."""
     p = x.spec.p
     v, n = x.val_lower_bound(), x.precision
@@ -361,14 +381,18 @@ def _eval_law(law, args):
     to IntPoly.evaluate on each of its Z-polynomials.
 
     Series over one residue field, F_p or F_p(u), take two passes per
-    component over the powers from _power_table, held as
-    {exponent: coefficient} dicts: ints over F_p, ResidueElems over
-    F_p(u).  The first folds valued's product rule over every
-    monomial, including those that vanish mod p, whose product would
-    still have cut the precision of the sum; the minimum is the
-    component's precision.  The second multiplies out the other
-    monomials (valued.mul_ints or valued.mul_terms) into one dict,
-    wrapped as one series.
+    component, held as {exponent: coefficient} dicts: ints over F_p,
+    ResidueElems over F_p(u).  The first folds valued's product rule
+    over every monomial, including those that vanish mod p or have an
+    apparent-zero factor, whose product would still have cut the
+    precision of the sum; the minimum is the component's precision.
+    Each x ** e enters it as the valuation bound e*v and precision
+    power_precision(v, n, e) its _power_table row reports.  The second
+    multiplies out the monomials with c != 0 and no apparent-zero
+    factor, the only ones with terms (valued.mul_ints or
+    valued.mul_terms), into one dict wrapped as one series.
+    _power_table builds each argument's powers only as far as
+    law.needs says those monomials use them.
 
     Residue components and operands of mixed kinds or specs go to
     IntPoly.evaluate on each Z-polynomial.
@@ -378,38 +402,40 @@ def _eval_law(law, args):
     if not all(isinstance(x, LaurentElem) and x.spec is spec for x in args):
         return [poly.evaluate(args) for poly in law.polys]
     prime = spec.kind is FieldKind.PRIME
-    # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision,
-    # terms), the terms as ints over F_p
-    table = [
-        [
-            (y.val_lower_bound(), y.precision,
-             {e: c.num[0] for e, c in y.terms.items()} if prime else y.terms)
-            for y in _power_table(x, top)
-        ]
-        for x, top in zip(args, law.tops)
+    live = sum([1 << i for i, x in enumerate(args) if x.terms])
+    # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision)
+    bounds = []
+    for x, top in zip(args, law.tops):
+        v, n = x.val_lower_bound(), x.precision
+        bounds.append([(e * v, power_precision(v, n, e)) for e in range(1, top + 1)])
+    # per variable, the terms of x ** 1, x ** 2, ... as far as needed,
+    # as ints over F_p
+    powers = [
+        [{e: c.num[0] for e, c in y.terms.items()} if prime else y.terms
+         for y in _power_table(x, top)] if top else []
+        for x, top in zip(args, law.needs(live))
     ]
     out = []
     for monomials in law.monomials:
-        rows = [([table[i][e - 1] for i, e in factors], c)
-                for factors, c in monomials]
-        # precision: over every monomial, those that vanish mod p included
+        # precision: over every monomial, those without terms included
         cut = min(
-            product_precision((v, n) for v, n, _ in entries)
-            for entries, _ in rows
+            product_precision([bounds[i][e - 1] for i, e in factors])
+            for factors, _, _ in monomials
         )
         # values: a partial product is kept only below cut minus the
         # valuations of the factors still to come, which is never above
         # the precision the product itself has
         acc = {}
-        for entries, c in rows:
-            if c == 0 or not all(terms for _, _, terms in entries):
+        for factors, c, mask in monomials:
+            if c == 0 or mask & ~live:
                 continue
-            rest = sum(v for v, _, _ in entries[1:])
-            prod = entries[0][2]
-            for v, _, terms in entries[1:]:
-                rest -= v
-                prod = (mul_ints(prod, terms, cut - rest, p) if prime
-                        else mul_terms(prod, terms, cut - rest))
+            rest = sum([bounds[i][e - 1][0] for i, e in factors[1:]])
+            i, e = factors[0]
+            prod = powers[i][e - 1]
+            for i, e in factors[1:]:
+                rest -= bounds[i][e - 1][0]
+                prod = (mul_ints(prod, powers[i][e - 1], cut - rest, p) if prime
+                        else mul_terms(prod, powers[i][e - 1], cut - rest))
             for e, x in prod.items():
                 if prime:
                     acc[e] = acc.get(e, 0) + c * x

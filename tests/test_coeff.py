@@ -233,4 +233,17 @@ def test_polynomial_products_and_gcds_with_constants(p):
         inv = pow(g[-1], -1, p)
         monic = tuple(c * inv % p for c in g)
         assert _pgcd((), g, p) == _pgcd(g, (), p) == monic
+    # a product with 1, on either side, is the element the constructor
+    # builds from the schoolbook products of numerators and denominators
+    for kind in FieldKind:
+        spec = FieldSpec(p, kind)
+        one = spec.one()
+        xs = [spec.from_int(c) for c in range(p)]
+        if kind is FieldKind.RATIONAL:
+            xs += [spec.element(a) for a in polys[p:]]
+            xs += [spec.element(a, g) for a in polys[1:p + 2] for g in polys[-3:]]
+        for x in xs:
+            want = ResidueElem(spec, _pmul(one.num, x.num, p), _pmul(one.den, x.den, p))
+            for got in (one * x, x * one):
+                assert (got.num, got.den) == (want.num, want.den)
 

@@ -105,6 +105,10 @@ def test_equality_below_joint_window():
     assert a == b
     c = LaurentElem(F2, {1: F2.one(), 3: F2.one()}, precision=4)
     assert a != c
+    # a series agrees with itself; another spec still raises
+    assert all(x.agrees_with(x) for x in (a, b, c, LaurentElem.zero(F2U, 3)))
+    with pytest.raises(SpecMismatch):
+        a.agrees_with(L("t", F2U))
 
 
 def test_equality_is_not_hashable():
@@ -299,7 +303,8 @@ def test_fp_kernel_matches_coefficient_loops(spec):
         for n in (0, 9)
     ] + [
         (lambda x, c=c: x.scale_int(c), lambda x, c=c: series_scale_int(x, c))
-        for c in (0, 1, 2, spec.p - 1, spec.p, -1, 3 * spec.p + 2, 10 ** 20 + 1)
+        for c in (0, 1, 2, spec.p - 1, spec.p, spec.p + 1, -spec.p, 1 - spec.p,
+                  -1, 3 * spec.p + 2, 10 ** 20 + 1)
     ]
     binary = [
         (operator.add, series_add),
@@ -397,6 +402,12 @@ def test_ring_laws(xs, ys, zs, spec):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a - a == LaurentElem.zero(spec)
+    # integer scalings, those by 0 and 1 mod p included, are the
+    # coefficient loop's term for term and in precision
+    for k in (0, 1, 2, spec.p, spec.p + 1, -spec.p, 1 - spec.p):
+        got, want = a.scale_int(k), series_scale_int(a, k)
+        assert (list(got.terms.items()), got.precision) == (
+            list(want.terms.items()), want.precision)
 
 
 @given(xs=pair_lists, ys=pair_lists, spec=st.sampled_from(SERIES_SPECS))

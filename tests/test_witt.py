@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 
 from wittram.coeff import FieldKind, FieldSpec, ResidueElem
 from wittram.errors import LimitExceeded, ShapeMismatch
-from wittram.valued import DEFAULT_PRECISION, LaurentElem
+from wittram.valued import DEFAULT_PRECISION, LaurentElem, power_precision
 from wittram.witt import (
     IntPoly,
     WittVector,
@@ -272,6 +272,25 @@ def test_group_law_matches_z_polynomials(p, m, draws):
     _check_random_law_parity(rng, kinds, p, m, draws)
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
+def test_group_law_matches_z_polynomials_on_every_apparent_zero_pattern(p, m):
+    # each subset of the 2m arguments set to apparent zeros, the others
+    # given terms: every live-argument mask the group law can meet
+    rng = random.Random(1000 * p + m + 11)
+    kinds = (FieldKind.PRIME, FieldKind.RATIONAL) if m <= 2 else (FieldKind.PRIME,)
+    for kind in kinds:
+        spec = FieldSpec(p, kind)
+        for zeros in range(1 << (2 * m)):
+            args = []
+            for i in range(2 * m):
+                x = _random_component(rng, spec)
+                while not x.terms:
+                    x = _random_component(rng, spec)
+                args.append(LaurentElem.zero(spec, x.precision)
+                            if zeros >> i & 1 else x)
+            _check_law_parity(WittVector(p, m, args[:m]), WittVector(p, m, args[m:]))
+
+
 @pytest.mark.parametrize("p,m,draws", [(2, 3, 6), (3, 3, 4), (2, 4, 4)])
 def test_fp_u_group_law_matches_z_polynomials_past_length_2(p, m, draws):
     rng = random.Random(1000 * p + m + 7)
@@ -467,9 +486,13 @@ def test_power_table_matches_pow(spec):
     for x in xs:
         row = _power_table(x, top)
         assert len(row) == top
+        v, n = x.val_lower_bound(), x.precision
         for e, got in enumerate(row, 1):
             want = x ** e
             assert (got.terms, got.precision) == (want.terms, want.precision)
+            # the closed forms the group law reads in place of the row
+            assert (got.val_lower_bound(), got.precision) == (
+                e * v, power_precision(v, n, e))
 
 
 def _count_calls(monkeypatch, cls, names):
@@ -507,8 +530,16 @@ def test_fp_group_law_makes_one_series_product_per_table_power(monkeypatch):
     assert series["__add__"] == series["__pow__"] == series["scale_int"] == 0
     assert 0 < series["__mul__"] <= _table_powers(sum_polys(3, 3))
     assert not any(residue.values())
+    # F(c) - c for c = [x; 0; 0] has terms only in monomials of X_0 and
+    # Y_0, up to S_2's eighth powers: five products each (the cubes and
+    # sixth powers are Frobenius images), none for the zero X_1, Y_1
+    c = W("[t^-2 + t; 0; 0]", F3)
+    series["__mul__"] = 0
+    got_as = artin_schreier_map(c)
+    assert series["__mul__"] == 10
     monkeypatch.undo()
     _assert_same(got, _reference_add(a, b))
+    _assert_same(got_as, _reference_as_map(c))
 
 
 def test_fp_u_group_law_makes_one_series_product_per_table_power(monkeypatch):
@@ -532,8 +563,16 @@ def test_fp_u_group_law_makes_one_series_product_per_table_power(monkeypatch):
             assert series["__add__"] == series["__pow__"] == 0
             assert series["scale_int"] == 0
             assert series["__mul__"] <= _table_powers(polys)
+    # an apparent-zero Y_0 leaves S_1's X_0^2 Y_0 and X_0 Y_0^2 without
+    # terms, so no power past the first is built
+    a, b = (W("[u*t^-1 + t; t^-2 + (u + 1)*t]", F3U),
+            W("[0; (u + 2)/(u)*t^-1 + t^3]", F3U))
+    series["__mul__"] = 0
+    got.append(witt_add(a, b))
+    assert series["__mul__"] == 0
     monkeypatch.undo()
-    want = [w for a, b in cases for w in (_reference_add(a, b), _reference_neg(a))]
+    want = [w for x, y in cases for w in (_reference_add(x, y), _reference_neg(x))]
+    want.append(_reference_add(a, b))
     for x, y in zip(got, want, strict=True):
         _assert_same(x, y)
 
