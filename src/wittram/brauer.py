@@ -27,6 +27,7 @@ from .errors import (
     ShapeMismatch,
     SpecMismatch,
 )
+from .extension import as_reduce, decide_constant, witt_reduce
 from .valued import LaurentElem, frobenius_power, power_precision, pth_root
 from .witt import (
     WittVector,
@@ -34,6 +35,7 @@ from .witt import (
     artin_schreier_map,
     frobenius_twist,
     witt_add,
+    witt_neg,
 )
 
 SPLIT = "split"
@@ -486,8 +488,6 @@ def _split_steps_m1(sym):
     """Split certificate steps for a length-1 symbol, or None: a zero
     omega, b a p-th power, omega reducing to g^p - g, or lemma 5.3's
     shape omega = F(d) * b^(p-i) with i in 1..p-1."""
-    from .extension import as_reduce, decide_constant
-
     p = sym.p
     omega = sym.omega.components[0]
     b = sym.b
@@ -531,9 +531,6 @@ def is_split_quick(sym):
     Returns a RewriteTrace concluding split, or None when no split was
     detected; None is not evidence that the symbol does not split.
     """
-    from .extension import witt_reduce
-    from .witt import witt_neg
-
     if sym.m == 1:
         steps = _split_steps_m1(sym)
         return RewriteTrace(tuple(steps)) if steps is not None else None

@@ -154,13 +154,10 @@ def as_reduce(omega):
         steps.append(step)
 
 
-def tr_valuation_evidence(p, m, v1):
-    """Root valuations forced by a reduced first component of valuation v1."""
-    if m == 1:
-        return (Fraction(v1, p),)
-    if m == 2:
-        return (Fraction(v1, p), Fraction(v1 * (p * p - p + 1), p * p))
-    raise UnsupportedCase("valuation evidence implemented for m <= 2")
+def tr_valuation_evidence(p, v1):
+    """Root valuations (v(x1), v(x2)) forced by a reduced first component
+    of valuation v1 in a totally ramified length-2 vector."""
+    return (Fraction(v1, p), Fraction(v1 * (p * p - p + 1), p * p))
 
 
 def newton_valuations(eta):
@@ -191,7 +188,7 @@ def newton_valuations(eta):
             )
     elif comp2.val() <= v1:
         raise HypothesisViolation("v(eta1) < v(eta2) is required")
-    return tr_valuation_evidence(p, 2, v1)
+    return tr_valuation_evidence(p, v1)
 
 
 def _single_verdict(p, kind, const, element):
@@ -340,11 +337,20 @@ def classify_len2(eta):
     if not isinstance(eta, WittVector) or eta.m != 2:
         raise ShapeMismatch("classify_len2 expects a length-2 vector")
     res = witt_reduce(eta)
-    eta = res.reduced
+    verdict, evidence, closing = _len2_verdict(res)
+    return RamReport(
+        verdict, res.steps + closing, evidence, res.reduced, "classify_len2"
+    )
+
+
+def _len2_verdict(res):
+    """Verdict, evidence and closing trace steps for a reduced length-2
+    vector, one row per kind of its first component.  Raises
+    PrecisionExhausted when a component the verdict rests on is zero to
+    too small a window."""
     (kind1, kind2), (const1, const2) = res.kinds, res.constants
-    p = eta.p
-    trace = res.steps
-    comp1, comp2 = eta.components
+    p = res.reduced.p
+    comp1, comp2 = res.reduced.components
 
     if kind1 == "opaque":
         raise PrecisionExhausted(
@@ -352,89 +358,59 @@ def classify_len2(eta):
         )
 
     if kind1 == "zero":
+        if kind2 == "opaque":
+            raise PrecisionExhausted(
+                "second component is zero to an empty precision window"
+            )
         verdict, evidence = _single_verdict(p, kind2, const2, comp2)
-        return RamReport(
-            verdict,
-            trace + ({"op": "degenerate", "note": "first component reduces to zero; "
-                      "the pair generates only a degree-p extension"},),
-            dict(evidence, degenerate=True),
-            eta,
-            "classify_len2",
-        )
+        closing = {"op": "degenerate", "note": "first component reduces to "
+                   "zero; the pair generates only a degree-p extension"}
+        return verdict, dict(evidence, degenerate=True), (closing,)
 
     if kind1 == "neg_coprime":
         v1 = comp1.val()
         threshold = v1 * (p * p - p + 1)  # p * ((p-1)*v1 + v1/p)
         if comp2.is_apparent_zero:
-            bound = comp2.val_lower_bound()
-            if p * bound <= threshold:
+            if p * comp2.val_lower_bound() <= threshold:
                 raise PrecisionExhausted(
                     "second component is zero to a precision too small to "
                     "separate it from the dominant cross term"
                 )
-            dominated = True
             v2 = None
         else:
             v2 = comp2.val()
-            dominated = p * v2 > threshold
-        if dominated:
-            vx1, vx2 = tr_valuation_evidence(p, 2, v1)
-            return RamReport(
-                Classification.TOTALLY_RAMIFIED,
-                trace,
-                {
-                    "v_omega1": v1,
-                    "v_x1": vx1,
-                    "v_x2": vx2,
-                    "ramification_index": p * p,
-                    "value_group_note": "v(x2) lies in (1/p^2)Z but not in (1/p)Z",
-                },
-                eta,
-                "classify_len2",
-            )
-        return RamReport(
-            Classification.UNCLASSIFIED,
-            trace,
-            {
-                "reason": "second component dominates; finishing the reduction "
-                "needs arithmetic over the degree-p subextension",
+        if v2 is None or p * v2 > threshold:
+            vx1, vx2 = tr_valuation_evidence(p, v1)
+            return Classification.TOTALLY_RAMIFIED, {
                 "v_omega1": v1,
-                "v_omega2": v2,
-            },
-            eta,
-            "classify_len2",
-        )
+                "v_x1": vx1,
+                "v_x2": vx2,
+                "ramification_index": p * p,
+                "value_group_note": "v(x2) lies in (1/p^2)Z but not in (1/p)Z",
+            }, ()
+        return Classification.UNCLASSIFIED, {
+            "reason": "second component dominates; finishing the reduction "
+            "needs arithmetic over the degree-p subextension",
+            "v_omega1": v1,
+            "v_omega2": v2,
+        }, ()
 
     if kind1 == "constant":
         if kind2 in ("zero", "constant"):
-            return RamReport(
-                Classification.UNRAMIFIED,
-                trace,
-                {
-                    "residue_constant": str(const1),
-                    "second_constant": str(const2) if const2 is not None else "0",
-                    "note": "unramified; the degree divides p^2 and may drop "
-                    "if the second level splits over the first",
-                },
-                eta,
-                "classify_len2",
-            )
-        return RamReport(
-            Classification.UNCLASSIFIED,
-            trace,
-            {"reason": "first level is unramified but the second component "
-             "is not integral or not decided"},
-            eta,
-            "classify_len2",
-        )
+            return Classification.UNRAMIFIED, {
+                "residue_constant": str(const1),
+                "second_constant": str(const2) if const2 is not None else "0",
+                "note": "unramified; the degree divides p^2 and may drop "
+                "if the second level splits over the first",
+            }, ()
+        return Classification.UNCLASSIFIED, {
+            "reason": "first level is unramified but the second component "
+            "is not integral or not decided"
+        }, ()
 
-    return RamReport(
-        Classification.UNCLASSIFIED,
-        trace,
-        {"reason": "reduction of a component stalled or was undecided"},
-        eta,
-        "classify_len2",
-    )
+    return Classification.UNCLASSIFIED, {
+        "reason": "reduction of a component stalled or was undecided"
+    }, ()
 
 
 def _second_relation_coeffs(p, omega1, omega2):

@@ -144,16 +144,12 @@ def _subfield_witness(omega, b, report):
             p, omega.m, b, b, None, report,
             "v(b) is already coprime to p, so c = b",
         )
+    reduced = report.reduced
     if omega.m == 1:
-        reduced = report.reduced
-        desc = CyclicExtDesc(WittVector(p, 1, (reduced,)))
-        u = desc.x1()
-        label = "x1"
-    else:
-        desc = CyclicExtDesc(report.reduced)
-        u = desc.x2()
-        label = "x2"
-    factor = norm_element(desc, u)
+        reduced = WittVector(p, 1, (reduced,))
+    desc = CyclicExtDesc(reduced)
+    top = desc.x2() if desc.m == 2 else desc.x1()
+    factor = norm_element(desc, top)
     c = factor * b
     if math.gcd(c.val(), p) != 1:
         raise HypothesisViolation(
@@ -161,7 +157,7 @@ def _subfield_witness(omega, b, report):
         )
     return SubfieldWitness(
         p, omega.m, c, b, factor, report,
-        f"c = N({label}) * b with v(N({label})) coprime to p",
+        f"c = N(x{desc.m}) * b with v(N(x{desc.m})) coprime to p",
     )
 
 
@@ -183,15 +179,7 @@ def insep_to_cyclic_p(sym):
     class is [omega1' + b', b') whose cyclic part is totally ramified."""
     if sym.m != 1:
         raise ShapeMismatch("this construction expects a length-1 symbol")
-    norm = normalize_symbol(sym)
-    result, absorbed = add_absorbed(norm.symbol)
-    steps = norm.trace.steps + absorbed
-    report = classify_deg_p(result.omega.components[0])
-    return CyclicConstruction(
-        sym.p, 1, sym, result, result.omega, report,
-        RewriteTrace(steps), "full",
-        "cyclic part x^p - x = omega1' + b' is totally ramified",
-    )
+    return _insep_to_cyclic(sym)
 
 
 def insep_to_cyclic_p2(sym):
@@ -200,25 +188,29 @@ def insep_to_cyclic_p2(sym):
     the valuation of b', so the cyclic part is totally ramified."""
     if sym.m != 2:
         raise ShapeMismatch("this construction expects a length-2 symbol")
-    norm = normalize_symbol(sym)
-    rewritten = lemma54_rewrite(norm.symbol)
-    steps = tuple(norm.trace.steps) + tuple(rewritten.trace.steps)
-    result = rewritten.symbol
-    report = classify_len2(result.omega)
-    return CyclicConstruction(
-        sym.p, 2, sym, result, result.omega, report,
-        RewriteTrace(steps), "full",
-        "after the rewrite the first component carries v(b')",
-    )
+    return _insep_to_cyclic(sym)
 
 
 def _insep_to_cyclic(sym):
-    """insep_to_cyclic_p or insep_to_cyclic_p2, by the length of sym."""
+    """insep_to_cyclic_p or insep_to_cyclic_p2, for a symbol of length 1
+    or 2: normalize, add the split symbol [(b', 0, ..), b') (at length 2
+    through lemma 5.4's rewrite), then classify the new vector."""
+    if sym.m not in (1, 2):
+        raise UnsupportedCase("the construction is implemented for m <= 2")
+    norm = normalize_symbol(sym)
     if sym.m == 1:
-        return insep_to_cyclic_p(sym)
-    if sym.m == 2:
-        return insep_to_cyclic_p2(sym)
-    raise UnsupportedCase("the construction is implemented for m <= 2")
+        result, added = add_absorbed(norm.symbol)
+        report = classify_deg_p(result.omega.components[0])
+        note = "cyclic part x^p - x = omega1' + b' is totally ramified"
+    else:
+        rewritten = lemma54_rewrite(norm.symbol)
+        result, added = rewritten.symbol, rewritten.trace.steps
+        report = classify_len2(result.omega)
+        note = "after the rewrite the first component carries v(b')"
+    return CyclicConstruction(
+        sym.p, sym.m, sym, result, result.omega, report,
+        RewriteTrace(norm.trace.steps + added), "full", note,
+    )
 
 
 def insep_to_cyclic_perfect(sym):

@@ -56,6 +56,17 @@ def test_empty_window_exits_4():
         "error: PrecisionExhausted: series is zero to the available "
         "precision but the precision window is empty"
     )
+    # a vector whose first component reduces to zero is decided by its
+    # second, which is refused the same way
+    refused = (
+        4, "error: PrecisionExhausted: second component is zero to an empty "
+        "precision window"
+    )
+    assert run_command(["ram", "analyze", "--p", "2", "[0; 0 + O(t^-1)]"]) == refused
+    assert run_command([
+        "thm", "cyclic-to-insep", "--p", "2", "--omega", "[0; 0 + O(t^-1)]",
+        "--b", "t",
+    ]) == refused
 
 
 def test_printed_fraction_coefficients_read_back():

@@ -222,7 +222,11 @@ def test_classify_len2_opaque_second_component_too_shallow():
         LaurentElem(F2, {-25: F2.one()}, precision=37),
         LaurentElem(F2, {}, precision=-90),
     ))
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(
+        PrecisionExhausted,
+        match="^second component is zero to a precision too small to "
+        "separate it from the dominant cross term$",
+    ):
         classify_len2(eta)
 
 
@@ -231,7 +235,10 @@ def test_classify_len2_opaque_first_component():
         LaurentElem(F2, {}, precision=-1),
         LaurentElem(F2, {1: F2.one()}, precision=64),
     ))
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(
+        PrecisionExhausted,
+        match="^first component is zero to an empty precision window$",
+    ):
         classify_len2(eta)
 
 

@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module,
-every function, class and method it defines is named somewhere, no
-tuple is built from a generator, no assert statement checks anything,
-only the command line and the Witt module raise LimitExceeded, and only
-the valued module and the command line pass DEFAULT_PRECISION to max()."""
+only grammar is imported inside a function, every function, class and
+method it defines is named somewhere, no tuple is built from a
+generator, no assert statement checks anything, only the command line
+and the Witt module raise LimitExceeded, and only the valued module and
+the command line pass DEFAULT_PRECISION to max()."""
 
 import ast
 import collections
@@ -33,6 +34,25 @@ def test_no_module_imports_an_unused_name():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused = sorted(set(_imported_names(tree)) - used)
         assert not unused, (path.name, unused)
+
+
+def test_function_level_imports_are_only_of_grammar():
+    # the renderers behind __str__ import grammar, which imports their
+    # modules; that is the one import cycle, and every other import sits
+    # at the top of its module
+    package = pathlib.Path(wittram.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and (node.level, node.module) != (1, "grammar")
+                ):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found
 
 
 def _mentions(node):
