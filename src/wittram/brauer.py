@@ -484,6 +484,12 @@ def _iterated_pth_root(b, times):
     return out
 
 
+def _known_zero(components):
+    """Every component is an apparent zero known up to t^1 at least, so
+    every completion is a coboundary: F(g) - g for g = 0 up to O(t^1)."""
+    return all(c.is_apparent_zero and c.precision >= 1 for c in components)
+
+
 def _split_steps_m1(sym):
     """Split certificate steps for a length-1 symbol, or None: a zero
     omega, b a p-th power, omega reducing to g^p - g, or lemma 5.3's
@@ -491,7 +497,7 @@ def _split_steps_m1(sym):
     p = sym.p
     omega = sym.omega.components[0]
     b = sym.b
-    if omega.is_apparent_zero:
+    if _known_zero((omega,)):
         return [as_coboundary_split(sym, _vector(p, (_zero_like(b),)))]
     gamma = pth_root(b)
     if gamma is not None:
@@ -530,13 +536,20 @@ def is_split_quick(sym):
     g^p - g or is lemma 5.3's F(d) * b^(p-i) for any d and i in 1..p-1.
     Returns a RewriteTrace concluding split, or None when no split was
     detected; None is not evidence that the symbol does not split.
+
+    A zero vector counts only when every component is known to O(t^1)
+    or beyond, since a zero known to a lower window completes to
+    constants and poles that need not split.  A length-1 zero known only
+    below t^1 raises PrecisionExhausted from as_reduce, as does such a
+    second component behind a first that reduces to zero; such a first
+    component gives None.
     """
     if sym.m == 1:
         steps = _split_steps_m1(sym)
         return RewriteTrace(tuple(steps)) if steps is not None else None
     p = sym.p
     b = sym.b
-    if all(c.is_apparent_zero for c in sym.omega.components):
+    if _known_zero(sym.omega.components):
         zero = _zero_like(b)
         g = _vector(p, (zero,) * sym.m)
         return RewriteTrace((as_coboundary_split(sym, g),))
@@ -556,7 +569,7 @@ def is_split_quick(sym):
         steps.append(as_coboundary_split(cob, neg_g))
         reduced_sym, step = same_b_add(sym, cob)
         steps.append(step)
-    if all(c.is_apparent_zero for c in reduced_sym.omega.components):
+    if _known_zero(reduced_sym.omega.components):
         g = _vector(p, (_zero_like(b), _zero_like(b)))
         steps.append(as_coboundary_split(reduced_sym, g))
         return RewriteTrace(tuple(steps))

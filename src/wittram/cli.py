@@ -3,6 +3,9 @@
 Every command takes --p, --m, --residue {fp,fp-u}, --precision N and
 --format {text,structured}.  Structured mode prints one JSON record per
 command with the keys {config, inputs, trace, verdict, evidence}.
+run_command renders every literal input at --precision; a handler
+reports only the inputs that are not literals.  Text verdict names come
+from the Classification enum (totally_ramified -> TotallyRamified).
 
 Exit codes: 0 success, 2 violated or unverifiable hypotheses and other
 domain errors, 3 parse errors, 4 precision exhausted.
@@ -13,6 +16,7 @@ and newton-check's --count above MAX_COUNT exit 2 with LimitExceeded.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -63,23 +67,6 @@ from . import sampling
 # at each cap.
 MAX_PRECISION = 1024
 MAX_COUNT = 1000
-
-_VERDICT_NAMES = {
-    "split": "Split",
-    "unramified": "Unramified",
-    "totally_ramified": "TotallyRamified",
-    "unclassified": "Unclassified",
-}
-
-
-def _config_dict(args, m):
-    return {
-        "p": args.p,
-        "m": m,
-        "residue": args.residue,
-        "precision": args.precision,
-        "format": args.format,
-    }
 
 
 def _base_spec(args):
@@ -134,7 +121,9 @@ def _resolve_m(args, inferred):
     return inferred
 
 
-def _plain(value):
+def _plain(value, precision=None):
+    """A JSON value for value.  Series, vectors and symbols are rendered
+    with precision as the default window, whose O(t^N) is left out."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, Fraction):
@@ -142,17 +131,17 @@ def _plain(value):
     if isinstance(value, Classification):
         return value.value
     if isinstance(value, LaurentElem):
-        return render_laurent(value)
+        return render_laurent(value, precision)
     if isinstance(value, WittVector):
-        return render_witt(value)
+        return render_witt(value, precision)
     if isinstance(value, BrauerSymbol):
-        return render_symbol(value)
+        return render_symbol(value, precision)
     if isinstance(value, ResidueElem):
         return render_residue(value)
     if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
+        return {str(k): _plain(v, precision) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
+        return [_plain(v, precision) for v in value]
     return str(value)
 
 
@@ -172,126 +161,92 @@ def _trace_records(trace):
     return [_plain(step) for step in trace]
 
 
-def _trace_names(trace):
-    if trace is None:
-        return []
+def _trace_lines(trace):
+    """The text line naming each step of the trace; none for no steps."""
     if isinstance(trace, RewriteTrace):
-        return [step.rule for step in trace.steps]
-    return [str(step) for step in trace]
-
-
-def _trace_line(trace):
-    names = _trace_names(trace)
+        names = [step.rule for step in trace.steps]
+    else:
+        names = [str(step) for step in trace or ()]
     if not names:
-        return None
-    return f"trace ({len(names)} steps): " + ", ".join(names)
+        return []
+    return [f"trace ({len(names)} steps): " + ", ".join(names)]
 
 
-def _evidence_line(evidence):
-    if not evidence:
-        return None
-    bits = []
-    for k, v in evidence.items():
-        pv = _plain(v)
-        if isinstance(pv, (dict, list)):
-            pv = json.dumps(pv)
-        bits.append(f"{k} = {pv}")
-    return "evidence: " + "; ".join(bits)
+def _verdict_name(classification):
+    """The text name of a verdict: totally_ramified -> TotallyRamified."""
+    return classification.value.title().replace("_", "")
 
 
 class _Report:
-    """One command's output: structured record plus text lines."""
+    """What a command alone knows of its output: the structured verdict,
+    evidence, trace and any inputs that are not literals, plus text lines.
+    run_command renders the literal inputs."""
 
-    def __init__(self, m, inputs, verdict, evidence=None, trace=None,
-                 text_lines=None, failed=False):
+    def __init__(self, m, verdict, evidence=None, trace=None,
+                 text_lines=None, failed=False, inputs=None):
         self.m = m
-        self.inputs = inputs
         self.verdict = verdict
         self.evidence = evidence or {}
         self.trace = trace
         self.text_lines = text_lines or [str(verdict)]
         self.failed = failed
+        self.inputs = inputs or {}
 
 
-def _classification_lines(report, extra_first=None):
-    name = _VERDICT_NAMES[report.classification.value]
-    lines = []
-    if extra_first:
-        lines.extend(extra_first)
-    lines.append(f"verdict: {name}")
-    ev = _evidence_line(report.evidence)
-    if ev:
-        lines.append(ev)
-    tl = _trace_line(report.trace)
-    if tl:
-        lines.append(tl)
-    return lines
+def _classification_lines(report):
+    lines = [f"verdict: {_verdict_name(report.classification)}"]
+    if report.evidence:
+        bits = []
+        for k, v in report.evidence.items():
+            pv = _plain(v)
+            if isinstance(pv, (dict, list)):
+                pv = json.dumps(pv)
+            bits.append(f"{k} = {pv}")
+        lines.append("evidence: " + "; ".join(bits))
+    return lines + _trace_lines(report.trace)
 
 
 def _cmd_witt_add(args, spec, a, b):
     if a.m != b.m:
         raise ShapeMismatch(f"lengths differ: {a.m} vs {b.m}")
     m = _resolve_m(args, a.m)
-    out = a + b
-    rendered = render_witt(out, args.precision)
-    return _Report(
-        m,
-        {"a": render_witt(a, args.precision), "b": render_witt(b, args.precision)},
-        rendered,
-        text_lines=[rendered],
-    )
+    return _Report(m, render_witt(a + b, args.precision))
 
 
 def _cmd_witt_neg(args, spec, a):
     m = _resolve_m(args, a.m)
-    out = witt_neg(a)
-    rendered = render_witt(out, args.precision)
-    return _Report(
-        m,
-        {"a": render_witt(a, args.precision)},
-        rendered,
-        text_lines=[rendered],
-    )
+    return _Report(m, render_witt(witt_neg(a), args.precision))
 
 
 def _cmd_ram_analyze(args, spec, el):
     if isinstance(el, BrauerSymbol):
         raise ShapeMismatch("analyze takes a series or a vector, not a symbol")
-    if isinstance(el, WittVector):
-        m = _resolve_m(args, el.m)
-        shown = render_witt(el, args.precision)
-    else:
-        m = _resolve_m(args, 1)
-        shown = render_laurent(el, args.precision)
+    m = _resolve_m(args, el.m if isinstance(el, WittVector) else 1)
     report = classify(el)
-    evidence = dict(report.evidence)
-    evidence["source"] = report.source
     return _Report(
         m,
-        {"element": shown},
-        report.classification.value,
-        evidence=evidence,
+        report.classification,
+        evidence=dict(report.evidence, source=report.source),
         trace=report.trace,
         text_lines=_classification_lines(report),
+    )
+
+
+def _rewrite_report(args, m, out, evidence):
+    rendered = render_symbol(out.symbol, args.precision)
+    return _Report(
+        m,
+        rendered,
+        evidence=evidence,
+        trace=out.trace,
+        text_lines=[f"result: {rendered}"] + _trace_lines(out.trace),
     )
 
 
 def _cmd_symbol_normalize(args, spec, sym):
     m = _resolve_m(args, sym.m)
     out = normalize_symbol(sym)
-    rendered = render_symbol(out.symbol, args.precision)
-    lines = [f"result: {rendered}"]
-    tl = _trace_line(out.trace)
-    if tl:
-        lines.append(tl)
-    return _Report(
-        m,
-        {"symbol": render_symbol(sym, args.precision)},
-        rendered,
-        evidence={"v_b": out.symbol.b.val()},
-        trace=out.trace,
-        text_lines=lines,
-    )
+    return _rewrite_report(args, m, out, {"v_b": out.symbol.b.val()})
 
 
 def _cmd_symbol_rewrite(args, spec, sym):
@@ -300,19 +255,7 @@ def _cmd_symbol_rewrite(args, spec, sym):
         raise UnsupportedCase("the rewrite is stated for length-2 vectors")
     out = lemma54_rewrite(sym)
     out.trace.validate()
-    rendered = render_symbol(out.symbol, args.precision)
-    lines = [f"result: {rendered}"]
-    tl = _trace_line(out.trace)
-    if tl:
-        lines.append(tl)
-    return _Report(
-        m,
-        {"symbol": render_symbol(sym, args.precision)},
-        rendered,
-        evidence={"steps": len(out.trace)},
-        trace=out.trace,
-        text_lines=lines,
-    )
+    return _rewrite_report(args, m, out, {"steps": len(out.trace)})
 
 
 def _cmd_thm_cyclic_to_insep(args, spec, omega, b):
@@ -333,8 +276,6 @@ def _cmd_thm_cyclic_to_insep(args, spec, omega, b):
     ]
     return _Report(
         m,
-        {"omega": render_witt(omega, args.precision),
-         "b": render_laurent(b, args.precision)},
         c_text,
         evidence=evidence,
         trace=witness.report.trace,
@@ -342,7 +283,11 @@ def _cmd_thm_cyclic_to_insep(args, spec, omega, b):
     )
 
 
-def _construction_report(args, sym, construction):
+def _cmd_thm_construction(build, args, spec, sym):
+    """thm insep-to-cyclic and thm perfect: build(sym) is the construction."""
+    _resolve_m(args, sym.m)
+    construction = build(sym)
+    construction.trace.validate()
     rendered = render_symbol(construction.result_symbol, args.precision)
     evidence = dict(construction.report.evidence)
     evidence["result"] = rendered
@@ -350,41 +295,21 @@ def _construction_report(args, sym, construction):
     lines = [f"result: {rendered}"]
     lines.extend(_classification_lines(construction.report))
     lines.append(f"note: {construction.note}")
-    tl = _trace_line(construction.trace)
-    if tl:
-        lines.append(tl)
     return _Report(
         construction.m,
-        {"symbol": render_symbol(sym, args.precision)},
-        construction.report.classification.value,
+        construction.report.classification,
         evidence=evidence,
         trace=construction.trace,
-        text_lines=lines,
+        text_lines=lines + _trace_lines(construction.trace),
     )
-
-
-def _cmd_thm_insep_to_cyclic(args, spec, sym):
-    _resolve_m(args, sym.m)
-    construction = _insep_to_cyclic(sym)
-    construction.trace.validate()
-    return _construction_report(args, sym, construction)
-
-
-def _cmd_thm_perfect(args, spec, sym):
-    _resolve_m(args, sym.m)
-    construction = insep_to_cyclic_perfect(sym)
-    construction.trace.validate()
-    return _construction_report(args, sym, construction)
 
 
 def _cmd_thm_disjoint_pair(args, spec):
     m = args.m if args.m is not None else 1
     _check_caps(args.p, m)
     b = None
-    b_text = "t"
     if args.b is not None:
         (b,) = _parse_literals(args, spec, (("--b", parse_laurent),))
-        b_text = render_laurent(b, args.precision)
     pair = build_disjoint_division_pair(spec, b, m)
     classes = [render_residue(a) for a in pair.classes]
     evidence = {
@@ -403,11 +328,10 @@ def _cmd_thm_disjoint_pair(args, spec):
     ]
     return _Report(
         m,
-        {"b": b_text},
         "division_pair",
         evidence=evidence,
-        trace=None,
         text_lines=lines,
+        inputs={"b": "t" if b is None else b},
     )
 
 
@@ -415,10 +339,10 @@ def _stage_summary(payload):
     if isinstance(payload, str):
         return payload
     if isinstance(payload, RamReport):
-        return _VERDICT_NAMES[payload.classification.value]
+        return _verdict_name(payload.classification)
     if isinstance(payload, SubfieldWitness):
         return f"c = {render_laurent(payload.c)}, v(c) = {payload.c.val()}"
-    return _VERDICT_NAMES[payload.report.classification.value]
+    return _verdict_name(payload.report.classification)
 
 
 def _cmd_thm_roundtrip(args, spec, omega, b):
@@ -437,8 +361,6 @@ def _cmd_thm_roundtrip(args, spec, omega, b):
     }
     return _Report(
         m,
-        {"omega": render_witt(omega, args.precision),
-         "b": render_laurent(b, args.precision)},
         verdict,
         evidence=evidence,
         trace=report.construction.trace,
@@ -461,7 +383,6 @@ def _cmd_oracle_ghost_check(args, spec):
         if lhs != rhs:
             return _Report(
                 m,
-                {},
                 "mismatch",
                 evidence={"level": n},
                 text_lines=[f"verdict: mismatch at level {n}"],
@@ -469,7 +390,6 @@ def _cmd_oracle_ghost_check(args, spec):
         checked += 1
     return _Report(
         m,
-        {},
         "ok",
         evidence={"levels_checked": checked},
         text_lines=[f"verdict: ok ({checked} ghost identities)"],
@@ -504,11 +424,11 @@ def _cmd_oracle_newton_check(args, spec):
         )
     return _Report(
         m,
-        {"count": args.count, "seed": args.seed},
         verdict,
         evidence={"agreements": agree, "mismatches": mismatches[:5]},
         text_lines=lines,
         failed=bool(mismatches),
+        inputs={"count": args.count, "seed": args.seed},
     )
 
 
@@ -542,8 +462,11 @@ def _leaves():
         ("symbol", "normalize", _cmd_symbol_normalize, symbol, ()),
         ("symbol", "rewrite", _cmd_symbol_rewrite, symbol, ()),
         ("thm", "cyclic-to-insep", _cmd_thm_cyclic_to_insep, omega_b, ()),
-        ("thm", "insep-to-cyclic", _cmd_thm_insep_to_cyclic, symbol, ()),
-        ("thm", "perfect", _cmd_thm_perfect, symbol, ()),
+        ("thm", "insep-to-cyclic",
+         functools.partial(_cmd_thm_construction, _insep_to_cyclic), symbol, ()),
+        ("thm", "perfect",
+         functools.partial(_cmd_thm_construction, insep_to_cyclic_perfect),
+         symbol, ()),
         # --b is parsed after the --m check, by the handler
         ("thm", "disjoint-pair", _cmd_thm_disjoint_pair, (),
          (("--b", {"default": None}),)),
@@ -594,21 +517,30 @@ def _build_parser():
     return parser
 
 
+def _record(args, m, inputs, trace, verdict, evidence):
+    """One structured record with the schema's five keys."""
+    return json.dumps({
+        "config": {"p": args.p, "m": m, "residue": args.residue,
+                   "precision": args.precision, "format": args.format},
+        "inputs": inputs,
+        "trace": trace,
+        "verdict": verdict,
+        "evidence": evidence,
+    })
+
+
 def _error_text(args, code_name, message):
-    if args is not None and getattr(args, "format", "text") == "structured":
-        record = {
-            "config": _config_dict(args, args.m),
-            "inputs": {},
-            "trace": [],
-            "verdict": "error",
-            "evidence": {"error": code_name, "message": message},
-        }
-        return json.dumps(record)
+    if args.format == "structured":
+        return _record(args, args.m, {}, [], "error",
+                       {"error": code_name, "message": message})
     return f"error: {code_name}: {message}"
 
 
 def run_command(argv):
-    """Run one command; returns (exit_code, output_text)."""
+    """Run one command; returns (exit_code, output_text).
+
+    Structured output renders every literal input at --precision, then
+    the inputs the handler reports."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -625,18 +557,19 @@ def run_command(argv):
         return 4, _error_text(args, "PrecisionExhausted", str(exc))
     except WittramError as exc:
         return 2, _error_text(args, type(exc).__name__, str(exc))
-    if args.format == "structured":
-        record = {
-            "config": _config_dict(args, report.m),
-            "inputs": _plain(report.inputs),
-            "trace": _trace_records(report.trace),
-            "verdict": _plain(report.verdict),
-            "evidence": _plain(report.evidence),
-        }
-        text = json.dumps(record)
-    else:
-        text = "\n".join(report.text_lines)
-    return (1 if report.failed else 0), text
+    code = 1 if report.failed else 0
+    if args.format == "text":
+        return code, "\n".join(report.text_lines)
+    inputs = {
+        name.lstrip("-"): value
+        for (name, _), value in zip(args.literals, values)
+    }
+    inputs.update(report.inputs)
+    return code, _record(
+        args, report.m, _plain(inputs, args.precision),
+        _trace_records(report.trace), _plain(report.verdict),
+        _plain(report.evidence),
+    )
 
 
 def main(argv=None):

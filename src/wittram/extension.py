@@ -357,11 +357,12 @@ def _len2_verdict(res):
             "first component is zero to an empty precision window"
         )
 
+    if kind1 in ("zero", "constant") and kind2 == "opaque":
+        raise PrecisionExhausted(
+            "second component is zero to an empty precision window"
+        )
+
     if kind1 == "zero":
-        if kind2 == "opaque":
-            raise PrecisionExhausted(
-                "second component is zero to an empty precision window"
-            )
         verdict, evidence = _single_verdict(p, kind2, const2, comp2)
         closing = {"op": "degenerate", "note": "first component reduces to "
                    "zero; the pair generates only a degree-p extension"}

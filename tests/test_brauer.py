@@ -22,6 +22,7 @@ from wittram.coeff import FieldKind, FieldSpec
 from wittram.errors import (
     HypothesisViolation,
     NoRootError,
+    PrecisionExhausted,
     RuleViolation,
     ShapeMismatch,
     SpecMismatch,
@@ -431,6 +432,19 @@ def test_split_quick_certifies_lemma53_shapes():
         assert trace is not None
         trace.validate()
         assert trace.concludes_split
+
+
+def test_split_quick_needs_zeros_known_to_t():
+    # a zero known only below t^1 completes to constants and poles:
+    # [O(t^-3)] completes to [1], and [1, t) does not split
+    with pytest.raises(PrecisionExhausted):
+        is_split_quick(BrauerSymbol(W("[O(t^-3)]", F2), L("t", F2)))
+    assert is_split_quick(
+        BrauerSymbol(W("[0 + O(t^0); 0 + O(t^-2)]", F2), L("t", F2))
+    ) is None
+    trace = is_split_quick(BrauerSymbol(W("[O(t^1)]", F2), L("t", F2)))
+    assert [s.rule for s in trace.steps] == ["as_coboundary"]
+    trace.validate()
 
 
 def test_split_quick_declines_division_case():

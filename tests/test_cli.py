@@ -67,6 +67,17 @@ def test_empty_window_exits_4():
         "thm", "cyclic-to-insep", "--p", "2", "--omega", "[0; 0 + O(t^-1)]",
         "--b", "t",
     ]) == refused
+    # so is a second component behind a constant first level
+    for argv in (
+        ["--residue", "fp-u", "[u; 0 + O(t^-1)]"],
+        ["[1; 0 + O(t^-1)]"],
+        ["[1; 0 + O(t^0)]"],
+    ):
+        assert run_command(["ram", "analyze", "--p", "2"] + argv) == refused, argv
+    assert run_command([
+        "thm", "cyclic-to-insep", "--p", "2", "--omega", "[1; 0 + O(t^-1)]",
+        "--b", "t",
+    ]) == refused
 
 
 def test_printed_fraction_coefficients_read_back():
@@ -859,6 +870,55 @@ STRUCTURED_COMMANDS = [
     ["oracle", "ghost-check", "--p", "2"],
     ["oracle", "newton-check", "--p", "2", "--count", "5", "--seed", "1"],
 ]
+
+
+# Each leaf's structured inputs at --precision 32, from literals known
+# only to O(t^20): the window shows wherever it is below 32.
+INPUTS_AT_32 = [
+    (["witt", "add", "--p", "2", "[t; 0 + O(t^20)]", "[t + O(t^20); 0]"],
+     {"a": "[t; 0 + O(t^20)]", "b": "[t + O(t^20); 0]"}),
+    (["witt", "neg", "--p", "3", "[t + O(t^20)]"], {"a": "[t + O(t^20)]"}),
+    (["ram", "analyze", "--p", "2", "[t^-1; 0 + O(t^20)]"],
+     {"element": "[t^-1; 0 + O(t^20)]"}),
+    (["ram", "analyze", "--p", "2", "t^-1 + O(t^20)"],
+     {"element": "t^-1 + O(t^20)"}),
+    (["symbol", "normalize", "--p", "2", "[[t^-2 + O(t^20)]; t^5)"],
+     {"symbol": "[[t^-2 + O(t^20)]; t^5)"}),
+    (["symbol", "rewrite", "--p", "2", "[[t^2; t^4 + O(t^20)]; t^-1)"],
+     {"symbol": "[[t^2; t^4 + O(t^20)]; t^-1)"}),
+    (["thm", "cyclic-to-insep", "--p", "2", "--omega", "[t^-1 + O(t^20)]",
+      "--b", "t^2"],
+     {"omega": "[t^-1 + O(t^20)]", "b": "t^2"}),
+    (["thm", "insep-to-cyclic", "--p", "2", "[[0 + O(t^20)]; t^-1)"],
+     {"symbol": "[[0 + O(t^20)]; t^-1)"}),
+    (["thm", "perfect", "--p", "3", "[[t; 0 + O(t^20)]; t^2)"],
+     {"symbol": "[[t; 0 + O(t^20)]; t^2)"}),
+    (["thm", "disjoint-pair", "--p", "3", "--residue", "fp-u", "--m", "2"],
+     {"b": "t"}),
+    (["thm", "disjoint-pair", "--p", "3", "--residue", "fp-u", "--m", "2",
+      "--b", "t + O(t^20)"],
+     {"b": "t + O(t^20)"}),
+    (["thm", "roundtrip", "--p", "2", "--omega", "[0; 0 + O(t^20)]", "--b", "t"],
+     {"omega": "[0; 0 + O(t^20)]", "b": "t"}),
+    (["oracle", "ghost-check", "--p", "2"], {}),
+    (["oracle", "newton-check", "--p", "2", "--count", "5", "--seed", "1"],
+     {"count": 5, "seed": 1}),
+]
+
+
+def test_command_tables_name_every_leaf():
+    leaves = sorted((group, command) for group, command, *_ in cli._leaves())
+    assert sorted(tuple(argv[:2]) for argv in STRUCTURED_COMMANDS) == leaves
+    assert sorted({tuple(argv[:2]) for argv, _ in INPUTS_AT_32}) == leaves
+
+
+def test_structured_inputs_render_at_precision():
+    for argv, inputs in INPUTS_AT_32:
+        code, text = run_command(
+            argv + ["--precision", "32", "--format", "structured"]
+        )
+        assert code == 0, argv
+        assert json.loads(text)["inputs"] == inputs, argv
 
 
 def test_structured_schema_is_stable():
