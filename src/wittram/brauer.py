@@ -6,6 +6,12 @@ the uniformizing action of b.  Rewrites are recorded as traces whose
 steps each carry enough data to be re-checked arithmetically; a trace
 is evidence, not just a log.
 
+Each rule is one function that checks its hypotheses and returns the
+output symbol, or SPLIT.  A rewrite applies it and records the step;
+TraceStep.validate() applies it again and requires the recorded output.
+is_split_quick takes b = gamma^(p^m) as split only when b is known past
+the conductor of omega's extension.
+
 Rules:
   same_b          [w, b) + [w', b)  =  [w + w', b)
   same_omega      [w, b) + [w, b')  =  [w, b*b')
@@ -26,6 +32,7 @@ from .errors import (
     RuleViolation,
     ShapeMismatch,
     SpecMismatch,
+    WittramError,
 )
 from .extension import as_reduce, decide_constant, witt_reduce
 from .valued import LaurentElem, frobenius_power, power_precision, pth_root
@@ -97,16 +104,31 @@ class TraceStep:
     params: dict = dataclasses.field(default_factory=dict)
 
     def validate(self):
-        checker = _VALIDATORS.get(self.rule)
-        if checker is None:
+        """Apply the rule again: RuleViolation unless it takes these
+        inputs and parameters, its hypotheses hold and it gives `after`."""
+        if self.rule not in _RULES:
             raise RuleViolation(f"unknown rule {self.rule!r}")
-        checker(self)
+        arity, rule = _RULES[self.rule]
+        kinds = rule.__annotations__
+        if (
+            len(self.before) != arity
+            or self.params.keys() != kinds.keys()
+            or not all(isinstance(self.params[k], t) for k, t in kinds.items())
+        ):
+            raise RuleViolation(
+                f"{self.rule} takes {arity} symbol(s) and params {list(kinds)}"
+            )
+        try:
+            after = rule(*self.before, **self.params)
+        except WittramError as exc:
+            raise RuleViolation(f"{self.rule}: {exc}") from exc
+        if (self.after is SPLIT) != (after is SPLIT) or self.after != after:
+            raise RuleViolation(f"{self.rule} does not give the recorded output")
 
 
 @dataclasses.dataclass(frozen=True)
 class RewriteTrace:
     steps: tuple
-    note: str = ""
 
     def validate(self):
         for step in self.steps:
@@ -127,125 +149,6 @@ class RewriteOutcome:
     trace: RewriteTrace
 
 
-def _want(cond, message):
-    if not cond:
-        raise RuleViolation(message)
-
-
-def _one_before(step):
-    _want(len(step.before) == 1, f"{step.rule} expects one input symbol")
-    return step.before[0]
-
-
-def _two_before(step):
-    _want(len(step.before) == 2, f"{step.rule} expects two input symbols")
-    return step.before
-
-
-def _check_same_b(step):
-    s1, s2 = _two_before(step)
-    after = step.after
-    _want(isinstance(after, BrauerSymbol), "same_b must produce a symbol")
-    _want(s1.b == s2.b and after.b == s1.b, "same_b requires one common b")
-    _want(
-        after.omega == witt_add(s1.omega, s2.omega),
-        "same_b output vector is not the Witt sum of the inputs",
-    )
-
-
-def _check_same_omega(step):
-    s1, s2 = _two_before(step)
-    after = step.after
-    _want(isinstance(after, BrauerSymbol), "same_omega must produce a symbol")
-    _want(s1.omega == s2.omega and after.omega == s1.omega,
-          "same_omega requires one common vector")
-    _want(after.b == s1.b * s2.b, "same_omega output b is not the product")
-
-
-def _check_strip_zero(step):
-    s = _one_before(step)
-    after = step.after
-    _want(isinstance(after, BrauerSymbol), "strip_zero must produce a symbol")
-    _want(s.m >= 2, "strip_zero needs at least two components")
-    _want(s.omega.components[0].is_apparent_zero,
-          "strip_zero needs a zero leading component")
-    _want(after.m == s.m - 1, "strip_zero must drop exactly one component")
-    _want(
-        all(a == b for a, b in zip(after.omega.components, s.omega.components[1:])),
-        "strip_zero must keep the remaining components",
-    )
-    _want(after.b == s.b, "strip_zero must keep b")
-
-
-def _check_frob_twist(step):
-    s = _one_before(step)
-    after = step.after
-    r = step.params.get("r")
-    _want(isinstance(after, BrauerSymbol), "frob_twist must produce a symbol")
-    _want(isinstance(r, int) and r >= 0, "frob_twist needs a power r >= 0")
-    _want(after.omega == frobenius_twist(s.omega, r),
-          "frob_twist output is not the componentwise p^r power")
-    _want(after.b == s.b, "frob_twist must keep b")
-
-
-def _check_power_adjust_b(step):
-    s = _one_before(step)
-    after = step.after
-    gamma = step.params.get("gamma")
-    _want(isinstance(after, BrauerSymbol), "power_adjust_b must produce a symbol")
-    _want(isinstance(gamma, LaurentElem), "power_adjust_b needs a witness gamma")
-    _want(after.omega == s.omega, "power_adjust_b must keep the vector")
-    _want(
-        after.b == frobenius_power(gamma, s.m) * s.b,
-        "power_adjust_b output b is not gamma^(p^m) times the input b",
-    )
-
-
-def _check_absorb(step):
-    s = _one_before(step)
-    _want(step.after is SPLIT, "absorb is a terminal split rule")
-    comps = s.omega.components
-    _want(comps[0] == s.b, "absorb needs the leading component to equal b")
-    _want(
-        all(c.is_apparent_zero for c in comps[1:]),
-        "absorb needs zero trailing components",
-    )
-
-
-def _check_pth_power_b(step):
-    s = _one_before(step)
-    _want(step.after is SPLIT, "pth_power_b is a terminal split rule")
-    gamma = step.params.get("gamma")
-    _want(isinstance(gamma, LaurentElem), "pth_power_b needs a witness gamma")
-    _want(
-        frobenius_power(gamma, s.m) == s.b,
-        "pth_power_b needs b to be the p^m-th power of the witness",
-    )
-
-
-def _check_as_coboundary(step):
-    s = _one_before(step)
-    _want(step.after is SPLIT, "as_coboundary is a terminal split rule")
-    g = step.params.get("g")
-    _want(isinstance(g, WittVector), "as_coboundary needs a vector witness g")
-    _want(
-        artin_schreier_map(g) == s.omega,
-        "as_coboundary needs omega to equal F(g) - g",
-    )
-
-
-_VALIDATORS = {
-    "same_b": _check_same_b,
-    "same_omega": _check_same_omega,
-    "strip_zero": _check_strip_zero,
-    "frob_twist": _check_frob_twist,
-    "power_adjust_b": _check_power_adjust_b,
-    "absorb": _check_absorb,
-    "pth_power_b": _check_pth_power_b,
-    "as_coboundary": _check_as_coboundary,
-}
-
-
 def _zero_like(a):
     return a.scale_int(0)
 
@@ -254,46 +157,99 @@ def _vector(p, comps):
     return WittVector(p, len(comps), comps)
 
 
-def same_b_add(s1, s2):
+# The rules.  Arguments are the input symbols, then the step's params, whose
+# annotations give the names and types that validate() checks.
+
+def _same_b(s1, s2):
     if s1.b != s2.b:
         raise HypothesisViolation("same_b needs a common b")
-    out = BrauerSymbol(witt_add(s1.omega, s2.omega), s1.b)
-    return out, TraceStep("same_b", (s1, s2), out)
+    return BrauerSymbol(witt_add(s1.omega, s2.omega), s1.b)
 
 
-def same_omega_mul(s1, s2):
+def _same_omega(s1, s2):
     if s1.omega != s2.omega:
         raise HypothesisViolation("same_omega needs a common vector")
-    out = BrauerSymbol(s1.omega, s1.b * s2.b)
-    return out, TraceStep("same_omega", (s1, s2), out)
+    return BrauerSymbol(s1.omega, s1.b * s2.b)
 
 
-def strip_zero(sym):
+def _strip_zero(sym):
     if sym.m < 2:
         raise HypothesisViolation("strip_zero needs at least two components")
     if not sym.omega.components[0].is_apparent_zero:
         raise HypothesisViolation("strip_zero needs a zero leading component")
-    out = BrauerSymbol(
-        _vector(sym.p, sym.omega.components[1:]), sym.b
-    )
-    return out, TraceStep("strip_zero", (sym,), out)
+    return BrauerSymbol(_vector(sym.p, sym.omega.components[1:]), sym.b)
 
 
-def frob_twist(sym, r=1):
-    out = BrauerSymbol(frobenius_twist(sym.omega, r), sym.b)
-    return out, TraceStep("frob_twist", (sym,), out, {"r": r})
+def _frob_twist(sym, r: int):
+    if r < 0:
+        raise HypothesisViolation("frob_twist needs a power r >= 0")
+    return BrauerSymbol(frobenius_twist(sym.omega, r), sym.b)
 
 
-def power_adjust_b(sym, gamma):
-    out = BrauerSymbol(sym.omega, frobenius_power(gamma, sym.m) * sym.b)
-    return out, TraceStep("power_adjust_b", (sym,), out, {"gamma": gamma})
+def _power_adjust_b(sym, gamma: LaurentElem):
+    return BrauerSymbol(sym.omega, frobenius_power(gamma, sym.m) * sym.b)
 
 
-def absorb_split(sym):
+def _absorb(sym):
     comps = sym.omega.components
     if comps[0] != sym.b or not all(c.is_apparent_zero for c in comps[1:]):
         raise HypothesisViolation("absorb needs the shape [(b, 0, ..., 0), b)")
-    return TraceStep("absorb", (sym,), SPLIT)
+    return SPLIT
+
+
+def _pth_power_b(sym, gamma: LaurentElem):
+    if frobenius_power(gamma, sym.m) != sym.b:
+        raise HypothesisViolation("pth_power_b needs b = gamma^(p^m)")
+    return SPLIT
+
+
+def _as_coboundary(sym, g: WittVector):
+    if artin_schreier_map(g) != sym.omega:
+        raise HypothesisViolation("as_coboundary needs omega to equal F(g) - g")
+    return SPLIT
+
+
+# rule name -> (number of input symbols, rule)
+_RULES = {
+    "same_b": (2, _same_b),
+    "same_omega": (2, _same_omega),
+    "strip_zero": (1, _strip_zero),
+    "frob_twist": (1, _frob_twist),
+    "power_adjust_b": (1, _power_adjust_b),
+    "absorb": (1, _absorb),
+    "pth_power_b": (1, _pth_power_b),
+    "as_coboundary": (1, _as_coboundary),
+}
+
+
+def _apply(rule, before, **params):
+    """Apply a rule and record it: (the output, its TraceStep)."""
+    after = _RULES[rule][1](*before, **params)
+    return after, TraceStep(rule, before, after, params)
+
+
+def same_b_add(s1, s2):
+    return _apply("same_b", (s1, s2))
+
+
+def same_omega_mul(s1, s2):
+    return _apply("same_omega", (s1, s2))
+
+
+def strip_zero(sym):
+    return _apply("strip_zero", (sym,))
+
+
+def frob_twist(sym, r=1):
+    return _apply("frob_twist", (sym,), r=r)
+
+
+def power_adjust_b(sym, gamma):
+    return _apply("power_adjust_b", (sym,), gamma=gamma)
+
+
+def absorb_split(sym):
+    return _apply("absorb", (sym,))[1]
 
 
 def add_absorbed(sym):
@@ -307,6 +263,8 @@ def add_absorbed(sym):
     return out, (absorb, step)
 
 
+# The two split rules whose witness a search has just found are recorded
+# without being applied: validate() applies them.
 def pth_power_b_split(sym, gamma):
     return TraceStep("pth_power_b", (sym,), SPLIT, {"gamma": gamma})
 
@@ -338,8 +296,7 @@ def _lemma53_core(r, i, d, d_inverse, cuts, b):
     a2 = (frobenius_power(d, 1).truncated(fd_cut) * b ** (p - i)).scale_int(r)
     sym = BrauerSymbol(_vector(p, (a2,)), b)
     if a2.is_apparent_zero:
-        g = _vector(p, (_zero_like(b),))
-        return sym, RewriteTrace((as_coboundary_split(sym, g),))
+        return sym, RewriteTrace((_zero_split(sym),))
     d_inv = d_inverse()
     i0 = i % p
     j0 = p - i0
@@ -397,12 +354,10 @@ def lemma53_split(r, i, c, b):
     else:
         d, d_inverse = c_abs.inverse(), lambda: c_abs
     inner, core = _lemma53_core(r, i, d, d_inverse, cuts, b)
-    zero = _zero_like(b)
-    sym = BrauerSymbol(_vector(p, (zero, inner.omega.components[0])), b)
+    a2 = inner.omega.components[0]
+    sym = BrauerSymbol(_vector(p, (_zero_like(b), a2)), b)
     if len(core.steps) == 1 and core.steps[0].rule == "as_coboundary":
-        g = _vector(p, (zero, zero))
-        trace = RewriteTrace((as_coboundary_split(sym, g),))
-        return RewriteOutcome(SPLIT, trace)
+        return RewriteOutcome(SPLIT, RewriteTrace((_zero_split(sym),)))
     _, strip = strip_zero(sym)
     return RewriteOutcome(SPLIT, RewriteTrace((strip,) + core.steps))
 
@@ -490,29 +445,56 @@ def _known_zero(components):
     return all(c.is_apparent_zero and c.precision >= 1 for c in components)
 
 
-def _split_steps_m1(sym):
-    """Split certificate steps for a length-1 symbol, or None: a zero
-    omega, b a p-th power, omega reducing to g^p - g, or lemma 5.3's
-    shape omega = F(d) * b^(p-i) with i in 1..p-1."""
-    p = sym.p
-    omega = sym.omega.components[0]
-    b = sym.b
-    if _known_zero((omega,)):
-        return [as_coboundary_split(sym, _vector(p, (_zero_like(b),)))]
-    gamma = pth_root(b)
-    if gamma is not None:
+def _zero_split(sym):
+    return as_coboundary_split(sym, _vector(sym.p, (_zero_like(sym.b),) * sym.m))
+
+
+def _b_window_decides(sym):
+    """is_split_quick's window rule: u bounds the upper breaks of every
+    completion of omega, so each unit 1 + O(t^(u+1)) is a norm."""
+    u = max(0, *(sym.p ** (sym.m - i) * -c.val_lower_bound()
+                 for i, c in enumerate(sym.omega.components, 1)))
+    return sym.b.precision - sym.b.val() >= 1 + u
+
+
+def _split_steps(sym):
+    """Split certificate steps for a symbol, or None; see is_split_quick."""
+    p, b = sym.p, sym.b
+    if _known_zero(sym.omega.components):
+        return [_zero_split(sym)]
+    gamma = _iterated_pth_root(b, sym.m)
+    if gamma is not None and _b_window_decides(sym):
         return [pth_power_b_split(sym, gamma)]
+    if sym.m == 2:
+        res = witt_reduce(sym.omega)
+        if res.kinds[0] != "zero":
+            return None
+        steps = []
+        if not all(c.is_apparent_zero for c in res.witness.components):
+            neg_g = witt_neg(res.witness)
+            cob = BrauerSymbol(artin_schreier_map(neg_g), b)
+            steps.append(as_coboundary_split(cob, neg_g))
+            sym, step = same_b_add(sym, cob)
+            steps.append(step)
+        if _known_zero(sym.omega.components):
+            return steps + [_zero_split(sym)]
+        inner, strip = strip_zero(sym)
+        rest = _split_steps(inner)
+        return None if rest is None else steps + [strip] + rest
+    if sym.m != 1:
+        return None
+    omega = sym.omega.components[0]
     red = as_reduce(omega)
     if red.kind == "zero":
         return [as_coboundary_split(sym, _vector(p, (red.witness,)))]
     if red.kind == "constant":
         _, w = decide_constant(red.constant)
-        if w is not None:
-            g = red.witness + LaurentElem.from_residue(
-                w, max(red.element.precision, 1)
-            )
-            return [as_coboundary_split(sym, _vector(p, (g,)))]
-        return None
+        if w is None:
+            return None
+        g = red.witness + LaurentElem.from_residue(
+            w, max(red.element.precision, 1)
+        )
+        return [as_coboundary_split(sym, _vector(p, (g,)))]
     # look for lemma 5.3's shape F(d) * b^(p-i); r * F(d) = F(r * d) for
     # r in F_p, so the shape with r = 1 covers every scalar, and the trace
     # keeps d's own precisions
@@ -543,39 +525,12 @@ def is_split_quick(sym):
     below t^1 raises PrecisionExhausted from as_reduce, as does such a
     second component behind a first that reduces to zero; such a first
     component gives None.
+
+    b a p^m-th power counts only when b's window, precision - v(b), is at
+    least 1 + max(0, max_i p^(m-i) * (-v_i)), v_i the valuation lower
+    bound of component i counted from 1: then b's unknown terms lie past
+    the conductor of omega's extension (Brylinski 1983; Thomas 2005).
+    Over F_p(u) this is only a conservative guard (Kato 1989 not cited).
     """
-    if sym.m == 1:
-        steps = _split_steps_m1(sym)
-        return RewriteTrace(tuple(steps)) if steps is not None else None
-    p = sym.p
-    b = sym.b
-    if _known_zero(sym.omega.components):
-        zero = _zero_like(b)
-        g = _vector(p, (zero,) * sym.m)
-        return RewriteTrace((as_coboundary_split(sym, g),))
-    gamma = _iterated_pth_root(b, sym.m)
-    if gamma is not None:
-        return RewriteTrace((pth_power_b_split(sym, gamma),))
-    if sym.m != 2:
-        return None
-    res = witt_reduce(sym.omega)
-    if res.kinds[0] != "zero":
-        return None
-    steps = []
-    reduced_sym = sym
-    if not all(c.is_apparent_zero for c in res.witness.components):
-        neg_g = witt_neg(res.witness)
-        cob = BrauerSymbol(artin_schreier_map(neg_g), b)
-        steps.append(as_coboundary_split(cob, neg_g))
-        reduced_sym, step = same_b_add(sym, cob)
-        steps.append(step)
-    if _known_zero(reduced_sym.omega.components):
-        g = _vector(p, (_zero_like(b), _zero_like(b)))
-        steps.append(as_coboundary_split(reduced_sym, g))
-        return RewriteTrace(tuple(steps))
-    inner_sym, strip = strip_zero(reduced_sym)
-    steps.append(strip)
-    inner_steps = _split_steps_m1(inner_sym)
-    if inner_steps is None:
-        return None
-    return RewriteTrace(tuple(steps) + tuple(inner_steps))
+    steps = _split_steps(sym)
+    return None if steps is None else RewriteTrace(tuple(steps))

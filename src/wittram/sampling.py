@@ -97,17 +97,6 @@ def random_nonsplit_constant(rng, spec):
             return ResidueElem(spec, (0,) * j + (1,), (1,))
 
 
-def random_unramified_vector(rng, spec, m, precision=DEFAULT_PRECISION):
-    """First component a nonsplit constant, later components integral."""
-    lead = LaurentElem.from_residue(random_nonsplit_constant(rng, spec), precision)
-    comps = [lead]
-    for _ in range(m - 1):
-        comps.append(
-            random_laurent(rng, spec, vmin=0, vmax=4, precision=precision)
-        )
-    return WittVector(spec.p, m, comps)
-
-
 def random_coboundary(rng, spec, precision=DEFAULT_PRECISION):
     """g^p - g for a random g: always splits."""
     g = random_laurent(rng, spec, vmin=-4, vmax=4, precision=precision)

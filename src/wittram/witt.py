@@ -77,10 +77,6 @@ class IntPoly:
         mono[i] = 1
         return cls(nvars, {tuple(mono): 1})
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         terms = dict(self.terms)
         for mono, c in other.terms.items():

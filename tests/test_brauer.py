@@ -1,19 +1,24 @@
 """Symbol algebra rewrites: certified traces, normalization, split tests."""
 
+import dataclasses
+import itertools
+
 import pytest
 
-from wittram import sampling
+from wittram import brauer, sampling
 from wittram.brauer import (
     SPLIT,
     BrauerSymbol,
     TraceStep,
     absorb_split,
+    as_coboundary_split,
     frob_twist,
     is_split_quick,
     lemma53_split,
     lemma54_rewrite,
     normalize_symbol,
     power_adjust_b,
+    pth_power_b_split,
     same_b_add,
     same_omega_mul,
     strip_zero,
@@ -107,6 +112,73 @@ def test_tampered_step_rejected():
         bogus.validate()
     with pytest.raises(RuleViolation):
         TraceStep("nonsense", (s1,), s1).validate()
+
+
+def _valid_steps():
+    # one valid step per rule, over F_2
+    s = BrauerSymbol(W("[t^-1; t]", F2), L("t", F2))
+    g = W("[t^-1]", F2)
+    return {
+        "same_b": same_b_add(s, BrauerSymbol(W("[t; 0]", F2), L("t", F2)))[1],
+        "same_omega": same_omega_mul(s, BrauerSymbol(s.omega, L("t^3", F2)))[1],
+        "strip_zero": strip_zero(BrauerSymbol(W("[0; t^-1]", F2), s.b))[1],
+        "frob_twist": frob_twist(s)[1],
+        "power_adjust_b": power_adjust_b(s, L("t^-1", F2))[1],
+        "absorb": absorb_split(BrauerSymbol(W("[t; 0]", F2), s.b)),
+        "pth_power_b": pth_power_b_split(
+            BrauerSymbol(W("[t^-1]", F2), L("t^2", F2)), L("t", F2)
+        ),
+        "as_coboundary": as_coboundary_split(
+            BrauerSymbol(artin_schreier_map(g), s.b), g
+        ),
+    }
+
+
+# a parameter of the right type that the rule does not accept
+_WRONG_PARAMS = {
+    "frob_twist": {"r": -1},
+    "power_adjust_b": {"gamma": L("t^-2", F2)},
+    "pth_power_b": {"gamma": L("t^3", F2)},
+    "as_coboundary": {"g": W("[t]", F2)},
+}
+
+
+def _tampered(step):
+    replace = dataclasses.replace
+    if step.after is SPLIT:
+        yield replace(step, after=step.before[0])
+    else:
+        yield replace(step, after=SPLIT)
+        after = step.after
+        yield replace(step, after=BrauerSymbol(after.omega, after.b * L("t", F2)))
+    yield replace(step, before=step.before + step.before[:1])
+    for name in step.params:
+        missing = {k: v for k, v in step.params.items() if k != name}
+        yield replace(step, params=missing)
+        yield replace(step, params={**step.params, name: "t"})
+    if not step.params:
+        yield replace(step, params={"r": 1})
+    if step.rule in _WRONG_PARAMS:
+        yield replace(step, params=_WRONG_PARAMS[step.rule])
+
+
+@pytest.mark.parametrize("rule", sorted(brauer._RULES))
+def test_replay_rejects_tampered_steps(rule):
+    # a rule with no valid step in _valid_steps fails here with KeyError
+    step = _valid_steps()[rule]
+    assert step.rule == rule
+    step.validate()
+    for bad in _tampered(step):
+        with pytest.raises(RuleViolation):
+            bad.validate()
+
+
+def test_rule_table_matches_module_docstring():
+    # every rule brauer applies and replays is documented, and only those
+    block = brauer.__doc__.split("\nRules:\n", 1)[1].splitlines()
+    lines = list(itertools.takewhile(str.strip, block))
+    assert all(line.startswith("  ") for line in lines)
+    assert sorted(line.split()[0] for line in lines) == sorted(brauer._RULES)
 
 
 # -- lemma 5.3 traces ---------------------------------------------------------
@@ -444,6 +516,24 @@ def test_split_quick_needs_zeros_known_to_t():
     ) is None
     trace = is_split_quick(BrauerSymbol(W("[O(t^1)]", F2), L("t", F2)))
     assert [s.rule for s in trace.steps] == ["as_coboundary"]
+    trace.validate()
+
+
+@pytest.mark.parametrize("b, certified", [
+    ("t^2 + O(t^5)", False),
+    ("t^2 + O(t^7)", False),
+    ("t^2 + O(t^8)", True),
+])
+def test_split_quick_pth_power_b_needs_b_past_the_conductor(b, certified):
+    # b = t^2 completes to t^2 + t^7, whose symbol with t^-5 has residue
+    # Res(t^-5 * dlog(1 + t^5)) = 1 and does not split; b must be known
+    # to 1 + 5 places past its leading term
+    sym = BrauerSymbol(W("[t^-5]", F2), L(b, F2))
+    trace = is_split_quick(sym)
+    if not certified:
+        assert trace is None
+        return
+    assert [s.rule for s in trace.steps] == ["pth_power_b"]
     trace.validate()
 
 

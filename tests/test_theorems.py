@@ -252,12 +252,20 @@ def test_division_certificate_names_failed_hypothesis():
         division_certificate(W("[t^-1]", F2U), L("t", F2U))
 
 
+def _random_unramified_vector(rng, spec, m):
+    # first component a nonsplit constant, later components integral
+    lead = LaurentElem.from_residue(sampling.random_nonsplit_constant(rng, spec))
+    rest = [sampling.random_laurent(rng, spec, vmin=0, vmax=4)
+            for _ in range(m - 1)]
+    return WittVector(spec.p, m, [lead] + rest)
+
+
 def test_division_certificate_random_unramified():
     rng = sampling.make_rng(41)
     for n in range(12):
         spec = (F2U, F3U)[n % 2]
         m = 1 + (n % 2)
-        omega = sampling.random_unramified_vector(rng, spec, m)
+        omega = _random_unramified_vector(rng, spec, m)
         b = sampling.random_symbol_b(rng, spec)
         cert = division_certificate(omega, b)
         assert cert.is_division
