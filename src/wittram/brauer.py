@@ -10,7 +10,8 @@ Each rule is one function that checks its hypotheses and returns the
 output symbol, or SPLIT.  A rewrite applies it and records the step;
 TraceStep.validate() applies it again and requires the recorded output.
 is_split_quick takes b = gamma^(p^m) as split only when b is known past
-the conductor of omega's extension.
+the conductor of omega's extension, the last step of a lemma 5.3 trace
+included.
 
 Rules:
   same_b          [w, b) + [w', b)  =  [w + w', b)
@@ -35,7 +36,13 @@ from .errors import (
     WittramError,
 )
 from .extension import as_reduce, decide_constant, witt_reduce
-from .valued import LaurentElem, frobenius_power, power_precision, pth_root
+from .valued import (
+    LaurentElem,
+    binary_power,
+    frobenius_power,
+    power_precision,
+    pth_root,
+)
 from .witt import (
     WittVector,
     _cross_coeff,
@@ -273,18 +280,6 @@ def as_coboundary_split(sym, g):
     return TraceStep("as_coboundary", (sym,), SPLIT, {"g": g})
 
 
-def _full_power(a, k):
-    """a^k for k >= 1 at the precision a determines, N + (k-1)*val(a).
-
-    `a ** k` reports the precision of the product started at
-    ring_one(), which can be less.
-    """
-    out = a
-    for _ in range(k - 1):
-        out = out * a
-    return out
-
-
 def _lemma53_core(r, i, d, d_inverse, cuts, b):
     """Split trace for [a2, b) with a2 = r * F(d) * b^(p-i), as a
     length-1 symbol: lemma 5.3 stated on d = c^i, all of c its proof
@@ -341,14 +336,14 @@ def lemma53_split(r, i, c, b):
     p = b.spec.p
     if i % p == 0:
         raise HypothesisViolation("the exponent i must be coprime to p")
-    # One series power and one series inverse give d = c^i and d^-1, and
-    # the Frobenius gives F(d) and F(d^-1) from them.  The trace keeps the
-    # precisions that `**` reports for these: F(c) ** i, known to cut, has
+    # Products give c^|i|, known to n + (|i|-1)*v, one series inverse gives
+    # d = c^i and d^-1, and the Frobenius F(d) and F(d^-1).  The trace keeps
+    # the precisions `**` reports for these: F(c) ** i, known to cut, has
     # valuation i*p*v, so its inverse is known to cut - 2*i*p*v.
     v, n = c.val_lower_bound(), c.precision
     cut = power_precision(p * v, p * n, i)
     cuts = (cut, cut - 2 * i * p * v, power_precision(v, n, i) - 2 * i * v)
-    c_abs = _full_power(c, abs(i))
+    c_abs = binary_power(c, abs(i) - 1, c)
     if i > 0:
         d, d_inverse = c_abs, c_abs.inverse
     else:
@@ -497,7 +492,8 @@ def _split_steps(sym):
         return [as_coboundary_split(sym, _vector(p, (g,)))]
     # look for lemma 5.3's shape F(d) * b^(p-i); r * F(d) = F(r * d) for
     # r in F_p, so the shape with r = 1 covers every scalar, and the trace
-    # keeps d's own precisions
+    # keeps d's own precisions.  Its last step is pth_power_b, taken only
+    # where the window rule holds for it.
     for i in range(1, p):
         d = pth_root(omega * (b ** (p - i)).inverse())
         if d is None:
@@ -505,7 +501,7 @@ def _split_steps(sym):
         v, n = d.val_lower_bound(), d.precision
         cuts = (p * n, p * (n - 2 * v), n - 2 * v)
         inner, core = _lemma53_core(1, i, d, d.inverse, cuts, b)
-        if inner == sym:
+        if inner == sym and _b_window_decides(core.steps[-1].before[0]):
             return list(core.steps)
     return None
 
@@ -531,6 +527,8 @@ def is_split_quick(sym):
     bound of component i counted from 1: then b's unknown terms lie past
     the conductor of omega's extension (Brylinski 1983; Thomas 2005).
     Over F_p(u) this is only a conservative guard (Kato 1989 not cited).
+    A lemma 5.3 trace ends in such a step, and counts only when that
+    step's symbol passes the same rule.
     """
     steps = _split_steps(sym)
     return None if steps is None else RewriteTrace(tuple(steps))

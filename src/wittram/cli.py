@@ -13,6 +13,9 @@ domain errors, 3 parse errors, 4 precision exhausted.
 Work is bounded: --precision above MAX_PRECISION, a literal whose
 O(t^N) is above it, a literal term t^e with |e| > p^2 * max(|N|, 64),
 and newton-check's --count above MAX_COUNT exit 2 with LimitExceeded.
+The parser rejects u^k with k above grammar.MAX_U_DEGREE before it
+builds the polynomial, and integers past Python's int-string limit;
+both exit 3.
 """
 
 import argparse

@@ -6,7 +6,9 @@ The O(t^N) suffix names the precision and is printed only when it
 differs from the session default.  '-' appears only inside exponents;
 coefficients are written without minus signs.  Multi-term or fractional
 coefficients are parenthesized: (u+1)*t^2, ((u^2+u+1)/(u))*t.  The parser
-reads a fraction with or without its outer pair.
+reads a fraction with or without its outer pair.  Integers are runs of
+decimal digits, what int() reads; one past Python's int-string limit,
+and u^k with k above MAX_U_DEGREE, are parse errors.
 
 Witt vectors: [e1; e2].  Symbols: [[e1; e2]; b).
 """
@@ -16,6 +18,9 @@ from .coeff import FieldKind, ResidueElem, _padd, _ptrim
 from .errors import ParseError
 from .valued import DEFAULT_PRECISION, LaurentElem
 from .witt import WittVector
+
+# The largest k read in u^k: a literal's polynomials are dense tuples.
+MAX_U_DEGREE = 1024
 
 
 def _poly_str(cs):
@@ -97,9 +102,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch.isdecimal():
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
                 self.items.append(("INT", text[i:j], i))
                 i = j
@@ -139,9 +144,18 @@ class _Tokens:
         return tok
 
 
+def _int(tok):
+    """An INT token's value; Python's int-string limit is a parse error."""
+    try:
+        return int(tok[1])
+    except ValueError:
+        raise ParseError(
+            f"integer of {len(tok[1])} digits is too long", position=tok[2]
+        ) from None
+
+
 def _parse_int(toks):
-    tok = toks.expect("INT", expected=("an integer",))
-    return int(tok[1])
+    return _int(toks.expect("INT", expected=("an integer",)))
 
 
 def _parse_exponent(toks):
@@ -163,7 +177,12 @@ def _parse_u_atom(toks):
     e = 1
     if toks.peek()[0] == "^":
         toks.next()
+        tok = toks.peek()
         e = _parse_int(toks)
+        if e > MAX_U_DEGREE:
+            raise ParseError(
+                f"the exponent of u is at most {MAX_U_DEGREE}", position=tok[2]
+            )
     return (0,) * e + (1,)
 
 
@@ -185,7 +204,7 @@ def _parse_poly(toks, p):
         tok = toks.peek()
         if tok[0] == "INT":
             toks.next()
-            c = int(tok[1]) % p
+            c = _int(tok) % p
             if _star_then_u(toks):
                 toks.next()
                 atom = _parse_u_atom(toks)
@@ -230,7 +249,7 @@ def _parse_coeff(toks, spec):
         return ResidueElem(spec, num, den)
     if tok[0] == "INT":
         toks.next()
-        c = int(tok[1]) % p
+        c = _int(tok) % p
         if _star_then_u(toks):
             toks.next()
             atom = _parse_u_atom(toks)

@@ -14,7 +14,9 @@ Precision propagation rules (tested exactly in the suite):
 * p-th root:  ceil(Na / p)
 * a ** e, e != 0: power_precision(va, Na, e), what square-and-multiply
   started at ring_one() (known to max(Na, 64)) reports, after inverting
-  a for e < 0.  This can be less than a^e determines.
+  a for e < 0.  This can be less than a^e determines.  For e >= 1 it is
+  e*va plus a relative precision r independent of e, and by the mul rule
+  factors known to V_j + r_j have a product known to sum V_j + min r_j.
 
 No exponent is out of range: arithmetic never raises LimitExceeded.
 The command line bounds the exponents of the literals it reads.
@@ -364,17 +366,6 @@ def mul_terms(a, b, precision):
     return {e: c for e, c in out.items() if c.num}
 
 
-def product_precision(pairs):
-    """The precision of a product of factors with these (valuation bound,
-    precision) pairs: valuation bounds add under products, each of which
-    keeps the rule min(va + Nb, vb + Na)."""
-    pairs = iter(pairs)
-    v, n = next(pairs)
-    for vx, nx in pairs:
-        v, n = v + vx, min(v + nx, vx + n)
-    return n
-
-
 def power_precision(v, n, e):
     """The precision x ** e reports, for e != 0 and x with valuation bound
     v known to t^n: what square-and-multiply started at ring_one(), known
@@ -387,7 +378,8 @@ def power_precision(v, n, e):
 
 def binary_power(x, e, one):
     """x^e for e >= 0 by square-and-multiply, the product started at one:
-    the power loop of integer polynomials and extension elements."""
+    the power loop of integer polynomials and extension elements.  Started
+    at one = c, it gives lemma 5.3's c^|i| = c * c^(|i|-1) by products."""
     out = one
     while e:
         if e & 1:

@@ -8,12 +8,12 @@ ring here (residue elements or Laurent series); each law's integer
 coefficients are reduced mod p once, when the law is first used.
 
 On series over F_p or F_p(u) the group law takes two passes per
-component.  One folds the precision over every monomial, reading each
-power's valuation and precision from closed forms.  The other multiplies
-out on {exponent: coefficient} dicts only the monomials that can have
-terms, those nonzero mod p with no apparent-zero argument, and builds
-only the powers they use.  Residue components and mixed operands go to
-IntPoly.evaluate; see _eval_law.
+component.  One takes the precision from one closed form per monomial:
+the sum of its factors' e*v plus the least relative precision r of
+their arguments.  The other multiplies out on {exponent: coefficient}
+dicts only the monomials that can have terms, those nonzero mod p with
+no apparent-zero argument, and builds only the powers they use.  Residue
+components and mixed operands go to IntPoly.evaluate; see _eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -36,7 +36,6 @@ from .valued import (
     mul_ints,
     mul_terms,
     power_precision,
-    product_precision,
     pth_power,
 )
 
@@ -303,10 +302,10 @@ class _LawModP:
     factors lists its (variable, exponent) pairs with exponent > 0 in
     variable order, c is its coefficient reduced mod p, mask has bit i
     set for each variable i in factors, and the monomials keep the
-    Z-polynomials' order.  tops holds each variable's largest exponent.
-    A law vanishes at zero, so no monomial is constant."""
+    Z-polynomials' order.  A law vanishes at zero, so no monomial is
+    constant."""
 
-    __slots__ = ("polys", "monomials", "tops", "_needs")
+    __slots__ = ("polys", "monomials", "_needs")
 
     def __init__(self, polys, p):
         self.polys = polys
@@ -318,10 +317,6 @@ class _LawModP:
             ])
             for poly in polys
         ])
-        self.tops = tuple([
-            max((mono[i] for poly in polys for mono in poly.terms), default=0)
-            for i in range(polys[0].nvars)
-        ])
         self._needs = {}
 
     def needs(self, live):
@@ -329,7 +324,7 @@ class _LawModP:
         and every variable in the mask live, worked out once per mask."""
         tops = self._needs.get(live)
         if tops is None:
-            tops = [0] * len(self.tops)
+            tops = [0] * self.polys[0].nvars
             for monomials in self.monomials:
                 for factors, c, mask in monomials:
                     if c and not mask & ~live:
@@ -349,26 +344,26 @@ def _neg_law(p, m):
     return _LawModP(neg_polys(p, m), p)
 
 
-def _power_table(x, top):
-    """[x ** 1, ..., x ** top] for top >= 1, each with the terms and
-    precision ** gives it: x ** 1 is x cut to power_precision, and
-    valued's product rule carries x ** e = x ** (e - 1) * x ** 1 to
-    power_precision too.  Where p divides e, the Frobenius of
-    x ** (e / p), cut to that precision, is cheaper: over F_p(u) it
-    spreads coefficients, a product multiplies polynomials.  Row e has
-    valuation bound e*v: over a field the leading term's e-th power is
-    nonzero, and an apparent zero's row is the apparent zero at e*n.
-    Only series on _eval_law's path come here; off-path operands go to
-    IntPoly.evaluate, whose ** computes each power itself."""
+def _power_table(x, top, r):
+    """[x ** 1, ..., x ** top] for top >= 1, with r = power_precision(v,
+    n, 1) - v: row e is x ** e in terms and precision, cut to e*v + r.
+    x ** 1 is x cut to v + r, and valued's product rule carries
+    x ** (e - 1) * x ** 1 there.  Where p divides e, the Frobenius of
+    x ** (e / p), cut, is cheaper: over F_p(u) it spreads coefficients,
+    a product multiplies polynomials.  Row e has valuation bound e*v:
+    over a field the leading term's e-th power is nonzero, and an
+    apparent zero's row is the apparent zero at e*n.  Only series on
+    _eval_law's path come here; off-path operands go to IntPoly.evaluate,
+    whose ** computes each power itself."""
     p = x.spec.p
-    v, n = x.val_lower_bound(), x.precision
-    x = x.truncated(power_precision(v, n, 1))
+    v = x.val_lower_bound()
+    x = x.truncated(v + r)
     row = [x]
     for e in range(2, top + 1):
         if e % p:
             row.append(row[-1] * x)
         else:
-            row.append(pth_power(row[e // p - 1]).truncated(power_precision(v, n, e)))
+            row.append(pth_power(row[e // p - 1]).truncated(e * v + r))
     return row
 
 
@@ -378,12 +373,13 @@ def _eval_law(law, args):
 
     Series over one residue field, F_p or F_p(u), take two passes per
     component, held as {exponent: coefficient} dicts: ints over F_p,
-    ResidueElems over F_p(u).  The first folds valued's product rule
-    over every monomial, including those that vanish mod p or have an
+    ResidueElems over F_p(u).  The first takes the least precision over
+    every monomial, including those that vanish mod p or have an
     apparent-zero factor, whose product would still have cut the
-    precision of the sum; the minimum is the component's precision.
-    Each x ** e enters it as the valuation bound e*v and precision
-    power_precision(v, n, e) its _power_table row reports.  The second
+    precision of the sum.  Argument i, with valuation bound v_i, has
+    x_i ** e known to e*v_i + r_i for every e >= 1, r_i being
+    power_precision(v_i, n_i, 1) - v_i, so valued's product rule gives
+    a monomial the sum of its e*v_i plus its least r_i.  The second
     multiplies out the monomials with c != 0 and no apparent-zero
     factor, the only ones with terms (valued.mul_ints or
     valued.mul_terms), into one dict wrapped as one series.
@@ -399,23 +395,21 @@ def _eval_law(law, args):
         return [poly.evaluate(args) for poly in law.polys]
     prime = spec.kind is FieldKind.PRIME
     live = sum([1 << i for i, x in enumerate(args) if x.terms])
-    # per variable, for x ** 1, x ** 2, ...: (valuation bound, precision)
-    bounds = []
-    for x, top in zip(args, law.tops):
-        v, n = x.val_lower_bound(), x.precision
-        bounds.append([(e * v, power_precision(v, n, e)) for e in range(1, top + 1)])
+    vals = [x.val_lower_bound() for x in args]
+    rels = [power_precision(v, x.precision, 1) - v for v, x in zip(vals, args)]
     # per variable, the terms of x ** 1, x ** 2, ... as far as needed,
     # as ints over F_p
     powers = [
         [{e: c.num[0] for e, c in y.terms.items()} if prime else y.terms
-         for y in _power_table(x, top)] if top else []
-        for x, top in zip(args, law.needs(live))
+         for y in _power_table(x, top, r)] if top else []
+        for x, top, r in zip(args, law.needs(live), rels)
     ]
     out = []
     for monomials in law.monomials:
         # precision: over every monomial, those without terms included
         cut = min(
-            product_precision([bounds[i][e - 1] for i, e in factors])
+            sum([e * vals[i] for i, e in factors])
+            + min([rels[i] for i, _ in factors])
             for factors, _, _ in monomials
         )
         # values: a partial product is kept only below cut minus the
@@ -425,11 +419,11 @@ def _eval_law(law, args):
         for factors, c, mask in monomials:
             if c == 0 or mask & ~live:
                 continue
-            rest = sum([bounds[i][e - 1][0] for i, e in factors[1:]])
+            rest = sum([e * vals[i] for i, e in factors[1:]])
             i, e = factors[0]
             prod = powers[i][e - 1]
             for i, e in factors[1:]:
-                rest -= bounds[i][e - 1][0]
+                rest -= e * vals[i]
                 prod = (mul_ints(prod, powers[i][e - 1], cut - rest, p) if prime
                         else mul_terms(prod, powers[i][e - 1], cut - rest))
             for e, x in prod.items():

@@ -32,6 +32,7 @@ from wittram.errors import (
     ShapeMismatch,
     SpecMismatch,
 )
+from wittram.grammar import parse_symbol
 from wittram.valued import LaurentElem, frobenius_power, pth_root
 from wittram.witt import WittVector, artin_schreier_map, witt_add
 
@@ -471,13 +472,15 @@ def test_split_quick_strips_zero_first_component():
 
 
 def test_split_quick_certifies_the_symbol_it_is_given():
-    # omega is F(d) * b^(p-i) at p = 5 and i = 4.  An n-th root that
-    # loses precision can rebuild it as a zero known only to t^-61, below
-    # every term of omega, which equality at the shared precision does
-    # not see; the trace must split omega itself
+    # omega is F(d) * b^(p-i) at p = 5 and i = 4, for d = 2*t^-8 + 2*t^-6
+    # + 2*t^-4 + 2*t^-2 and b known to t^64.  An n-th root that loses
+    # precision can rebuild it as a zero known only below every term of
+    # omega, which equality at the shared precision does not see; the
+    # trace must split omega itself
     omega = W("[3*t^-41 + 2*t^-38 + 3*t^-37 + 3*t^-31 + 2*t^-28 + 3*t^-27"
-              " + 3*t^-21 + 2*t^-18 + 3*t^-17 + 3*t^-11 + O(t^-8)]", F5)
-    sym = BrauerSymbol(omega, L("4*t^-1 + t^2 + 4*t^3 + O(t^32)", F5))
+              " + 3*t^-21 + 2*t^-18 + 3*t^-17 + 3*t^-11 + 2*t^-8 + 3*t^-7"
+              " + O(t^24)]", F5)
+    sym = BrauerSymbol(omega, L("4*t^-1 + t^2 + 4*t^3", F5))
     trace = is_split_quick(sym)
     assert [s.rule for s in trace.steps] == [
         "same_omega", "absorb", "pth_power_b"
@@ -486,6 +489,23 @@ def test_split_quick_certifies_the_symbol_it_is_given():
     link = trace.steps[0].after
     assert link.omega.components[0].terms == omega.components[0].terms
     trace.validate()
+
+
+@pytest.mark.parametrize("text, spec", [
+    # the same shape with omega known only to t^-8: d, and so the
+    # pth_power_b step's b, is known too little past its leading term
+    ("[[3*t^-41 + 2*t^-38 + 3*t^-37 + 3*t^-31 + 2*t^-28 + 3*t^-27"
+     " + 3*t^-21 + 2*t^-18 + 3*t^-17 + 3*t^-11 + O(t^-8)];"
+     " 4*t^-1 + t^2 + 4*t^3 + O(t^32))", F5),
+    # the last symbol is [[t^-2 + O(t^0)]; t^8 + O(t^10)), window 2 of 3
+    ("[[t^-2 + (u^3+u^2+1)*t^6 + O(t^64)]; t^6 + O(t^8))", F2U),
+    ("[[t^-6 + u*t + (u^2+u)*t^5 + O(t^8)];"
+     " (u^6+u^4+u^2)*t^4 + (u^2+1)*t^6 + O(t^8))", F2U),
+])
+def test_split_quick_lemma53_needs_b_past_the_conductor(text, spec):
+    # lemma 5.3's trace ends in a pth_power_b step, which the search
+    # takes only where b's window passes the same rule
+    assert is_split_quick(parse_symbol(text, spec)) is None
 
 
 def test_split_quick_certifies_lemma53_shapes():

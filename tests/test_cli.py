@@ -105,6 +105,29 @@ def test_parse_error_exits_3():
     )
 
 
+@pytest.mark.parametrize("literal, message", [
+    # str.isdigit() holds for superscripts, which int() refuses
+    ("t^²", "at offset 2: unexpected character '²'"),
+    ("²*t", "at offset 0: unexpected character '²'"),
+    # past Python's int-string limit
+    ("t^" + "9" * 5000, "at offset 2: integer of 5000 digits is too long"),
+    ("9" * 5000 + "*t", "at offset 0: integer of 5000 digits is too long"),
+], ids=["superscript-exponent", "superscript-coefficient", "long-exponent",
+        "long-coefficient"])
+def test_digits_int_refuses_exit_3(literal, message):
+    assert run_command(["ram", "analyze", "--p", "2", literal]) == (
+        3, f"error: ParseError: {message}"
+    )
+
+
+def test_u_degree_bound_exits_3():
+    argv = ["ram", "analyze", "--p", "2", "--residue", "fp-u"]
+    assert run_command(argv + ["(u^1024)*t^-1"])[0] == 0
+    assert run_command(argv + ["(1 + u^5000)*t^-1"]) == (
+        3, "error: ParseError: at offset 7: the exponent of u is at most 1024"
+    )
+
+
 def test_deeply_nested_brackets_end_in_an_answer():
     # redundant bracket pairs are read in a loop, so their depth is not
     # bounded by Python's recursion limit

@@ -209,6 +209,20 @@ def test_power_precision_is_what_square_and_multiply_reports():
     assert cases == 4548
 
 
+def test_power_precision_is_e_times_v_plus_one_relative_precision():
+    # the group law and _power_table read x ** e's precision as e*v + r,
+    # r = power_precision(v, n, 1) - v, for every e >= 1; apparent zeros
+    # (v = n) and windows at or below t^0 included
+    for n in (-40, -3, 0, 1, 20, 63, 64, 65, 100, 1024):
+        for v in sorted({n, n - 1, n - 64, n - 65, -8, -1, 0, 3}):
+            if v > n:
+                continue
+            r = power_precision(v, n, 1) - v
+            assert r >= 0
+            for e in range(2, 31):
+                assert power_precision(v, n, e) - e * v == r, (v, n, e)
+
+
 def test_p_power_exponents_multiply_no_series(monkeypatch):
     products = []
     mul = LaurentElem.__mul__

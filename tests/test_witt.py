@@ -484,9 +484,9 @@ def test_power_table_matches_pow(spec):
         LaurentElem.zero(spec, -5),
     ]
     for x in xs:
-        row = _power_table(x, top)
-        assert len(row) == top
         v, n = x.val_lower_bound(), x.precision
+        row = _power_table(x, top, power_precision(v, n, 1) - v)
+        assert len(row) == top
         for e, got in enumerate(row, 1):
             want = x ** e
             assert (got.terms, got.precision) == (want.terms, want.precision)
