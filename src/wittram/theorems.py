@@ -265,7 +265,10 @@ def division_certificate(omega, b):
     """Certify that the symbol algebra [omega, b) is division.
 
     Raises HypothesisNotVerified naming the hypothesis that failed:
-    length_at_most_2, coprime_valuation, or unramified_extension.
+    length_at_most_2, coprime_valuation, or unramified_extension.  The
+    last fails when the analyzer's verdict is not unramified, and when
+    the verdict is unramified but degenerate: a first component that
+    reduces to zero leaves an extension of degree p, not p^m.
     """
     if not isinstance(omega, WittVector):
         raise ShapeMismatch("expected a Witt vector")
@@ -285,6 +288,12 @@ def division_certificate(omega, b):
         raise HypothesisNotVerified(
             "unramified_extension",
             f"the analyzer found {report.classification.value}",
+        )
+    if report.evidence.get("degenerate"):
+        raise HypothesisNotVerified(
+            "unramified_extension",
+            f"the first component reduces to zero, so the extension has "
+            f"degree {p}, not {p ** omega.m}",
         )
     pm = p ** omega.m
     residue_data = {

@@ -27,10 +27,11 @@ not hashable.
 
 Over F_p, sums, negatives, products, integer scalings, inverses and
 p-th powers compute on the integers c.num[0], reduce mod p once per
-output exponent and map each result back to the field's canonical
-constant; over F_p(u) they combine ResidueElem coefficients.  The
-product loops, mul_ints and mul_terms, serve the Witt group law too.
-The precision rules above are the same on both paths.
+output exponent (a product through _from_ints, after mul_ints has added
+its unreduced term products into one dict) and map each result back to
+the field's canonical constant; over F_p(u) they combine ResidueElem
+coefficients.  The product loops, mul_ints and mul_terms, serve the Witt
+group law too.  The precision rules above are the same on both paths.
 """
 
 import math
@@ -193,12 +194,10 @@ class LaurentElem:
                 {e: c.num[0] for e, c in self.terms.items()},
                 {e: c.num[0] for e, c in other.terms.items()},
                 precision,
-                spec.p,
+                {},
+                1,
             )
-            table = spec._constants
-            return LaurentElem._trusted(
-                spec, {e: table[c] for e, c in ints.items()}, precision
-            )
+            return LaurentElem._from_ints(spec, ints, precision)
         return LaurentElem._trusted(
             spec, mul_terms(self.terms, other.terms, precision), precision
         )
@@ -336,18 +335,20 @@ _set_terms = LaurentElem.terms.__set__
 _set_precision = LaurentElem.precision.__set__
 
 
-def mul_ints(a, b, precision, p):
-    """The product of two F_p series given as {exponent: int} dicts,
-    below t^precision: coefficients reduced mod p, zeros dropped, and the
-    exponents in the order the term products first reach them."""
-    out = {}
+def mul_ints(a, b, precision, out, c):
+    """Add c times the product of two F_p series, given as {exponent: int}
+    dicts, into the dict out below t^precision, and return out.  Nothing
+    is reduced mod p and no zero is dropped: the caller reduces once per
+    exponent, through LaurentElem._from_ints.  New exponents join out in
+    the order the term products first reach them."""
     right = list(b.items())
     for ea, ca in a.items():
+        ca *= c
         for eb, cb in right:
             e = ea + eb
             if e < precision:
                 out[e] = out.get(e, 0) + ca * cb
-    return {e: r for e, c in out.items() if (r := c % p)}
+    return out
 
 
 def mul_terms(a, b, precision):

@@ -12,8 +12,10 @@ component.  One takes the precision from one closed form per monomial:
 the sum of its factors' e*v plus the least relative precision r of
 their arguments.  The other multiplies out on {exponent: coefficient}
 dicts only the monomials that can have terms, those nonzero mod p with
-no apparent-zero argument, and builds only the powers they use.  Residue
-components and mixed operands go to IntPoly.evaluate; see _eval_law.
+no apparent-zero argument, and builds only the powers they use.  Over
+F_p each monomial's last product is added straight into the component's
+sum, and the sum is reduced mod p once per exponent.  Residue components
+and mixed operands go to IntPoly.evaluate; see _eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -303,9 +305,10 @@ class _LawModP:
     variable order, c is its coefficient reduced mod p, mask has bit i
     set for each variable i in factors, and the monomials keep the
     Z-polynomials' order.  A law vanishes at zero, so no monomial is
-    constant."""
+    constant.  masks pairs each mask that some monomial has with the
+    variables it sets."""
 
-    __slots__ = ("polys", "monomials", "_needs")
+    __slots__ = ("polys", "monomials", "masks", "_needs")
 
     def __init__(self, polys, p):
         self.polys = polys
@@ -317,6 +320,11 @@ class _LawModP:
             ])
             for poly in polys
         ])
+        self.masks = tuple({
+            mask: tuple([i for i, _ in factors])
+            for monomials in self.monomials
+            for factors, _, mask in monomials
+        }.items())
         self._needs = {}
 
     def needs(self, live):
@@ -379,24 +387,28 @@ def _eval_law(law, args):
     precision of the sum.  Argument i, with valuation bound v_i, has
     x_i ** e known to e*v_i + r_i for every e >= 1, r_i being
     power_precision(v_i, n_i, 1) - v_i, so valued's product rule gives
-    a monomial the sum of its e*v_i plus its least r_i.  The second
-    multiplies out the monomials with c != 0 and no apparent-zero
-    factor, the only ones with terms (valued.mul_ints or
-    valued.mul_terms), into one dict wrapped as one series.
-    _power_table builds each argument's powers only as far as
-    law.needs says those monomials use them.
+    a monomial its weight, the sum of its e*v_i, plus the least r_i of
+    its mask.  Each weight is worked out once per call, and each mask's
+    least r_i once per call.  The second multiplies out the monomials
+    with c != 0 and no apparent-zero factor, the only ones with terms
+    (valued.mul_ints or valued.mul_terms), into one dict wrapped as one
+    series.  Over F_p the dict holds unreduced ints: a monomial's last
+    product is added into it, times c, by mul_ints, a one-factor
+    monomial adds c times its power-table row, and _from_ints reduces
+    each exponent's sum mod p once.  _power_table builds each argument's
+    powers only as far as law.needs says those monomials use them.
 
     Residue components and operands of mixed kinds or specs go to
     IntPoly.evaluate on each Z-polynomial.
     """
     spec = args[0].spec
-    p = spec.p
     if not all(isinstance(x, LaurentElem) and x.spec is spec for x in args):
         return [poly.evaluate(args) for poly in law.polys]
     prime = spec.kind is FieldKind.PRIME
     live = sum([1 << i for i, x in enumerate(args) if x.terms])
     vals = [x.val_lower_bound() for x in args]
     rels = [power_precision(v, x.precision, 1) - v for v, x in zip(vals, args)]
+    least = {mask: min([rels[i] for i in idx]) for mask, idx in law.masks}
     # per variable, the terms of x ** 1, x ** 2, ... as far as needed,
     # as ints over F_p
     powers = [
@@ -406,27 +418,36 @@ def _eval_law(law, args):
     ]
     out = []
     for monomials in law.monomials:
+        weights = [
+            sum([e * vals[i] for i, e in factors]) for factors, _, _ in monomials
+        ]
         # precision: over every monomial, those without terms included
-        cut = min(
-            sum([e * vals[i] for i, e in factors])
-            + min([rels[i] for i, _ in factors])
-            for factors, _, _ in monomials
-        )
+        cut = min([
+            w + least[mask] for w, (_, _, mask) in zip(weights, monomials)
+        ])
         # values: a partial product is kept only below cut minus the
-        # valuations of the factors still to come, which is never above
-        # the precision the product itself has
+        # weights of the factors still to come, which is never above the
+        # precision the product itself has; over F_p the last product
+        # goes straight into acc, unreduced
         acc = {}
-        for factors, c, mask in monomials:
+        for rest, (factors, c, mask) in zip(weights, monomials):
             if c == 0 or mask & ~live:
                 continue
-            rest = sum([e * vals[i] for i, e in factors[1:]])
-            i, e = factors[0]
-            prod = powers[i][e - 1]
-            for i, e in factors[1:]:
+            prod = None
+            for i, e in factors[:-1]:
                 rest -= e * vals[i]
-                prod = (mul_ints(prod, powers[i][e - 1], cut - rest, p) if prime
-                        else mul_terms(prod, powers[i][e - 1], cut - rest))
-            for e, x in prod.items():
+                row = powers[i][e - 1]
+                prod = (row if prod is None
+                        else mul_ints(prod, row, cut - rest, {}, 1) if prime
+                        else mul_terms(prod, row, cut - rest))
+            i, e = factors[-1]
+            row = powers[i][e - 1]
+            if prod is not None:
+                if prime:
+                    mul_ints(prod, row, cut, acc, c)
+                    continue
+                row = mul_terms(prod, row, cut)
+            for e, x in row.items():
                 if prime:
                     acc[e] = acc.get(e, 0) + c * x
                 else:

@@ -9,9 +9,11 @@ from wittram import brauer, sampling
 from wittram.brauer import (
     SPLIT,
     BrauerSymbol,
+    RewriteTrace,
     TraceStep,
     absorb_split,
     as_coboundary_split,
+    dominate_b,
     frob_twist,
     is_split_quick,
     lemma53_split,
@@ -44,6 +46,18 @@ def test_symbol_shape_guards():
         BrauerSymbol(W("[t]", F2), LaurentElem.zero(F2))
     with pytest.raises(SpecMismatch):
         BrauerSymbol(W("[t]", F2), L("t", F3))
+    with pytest.raises(ShapeMismatch):
+        BrauerSymbol(L("t", F2), L("t", F2))
+    with pytest.raises(ShapeMismatch):
+        BrauerSymbol(WittVector(2, 1, (F2.one(),)), L("t", F2))
+    with pytest.raises(ShapeMismatch):
+        BrauerSymbol(W("[t]", F2), F2.one())
+    sym = BrauerSymbol(W("[t^-1; t]", F2), L("t", F2))
+    with pytest.raises(AttributeError):
+        sym.b = L("t^3", F2)
+    assert sym == BrauerSymbol(W("[t^-1; t]", F2), L("t", F2))
+    assert sym != BrauerSymbol(W("[t^-1; t^3]", F2), L("t", F2))
+    assert sym != BrauerSymbol(sym.omega, L("t^3", F2))
 
 
 # -- primitive rules ----------------------------------------------------------
@@ -76,6 +90,8 @@ def test_strip_zero():
     assert out.omega.components[0] == L("t^-1", F2)
     with pytest.raises(HypothesisViolation):
         strip_zero(BrauerSymbol(W("[t; t^-1]", F2), L("t", F2)))
+    with pytest.raises(HypothesisViolation, match="two components"):
+        strip_zero(BrauerSymbol(W("[0]", F2), L("t", F2)))
 
 
 def test_frob_twist_rule():
@@ -84,6 +100,12 @@ def test_frob_twist_rule():
     step.validate()
     assert out.omega.components[0] == L("t^-2", F2)
     assert out.b == s.b
+    assert frob_twist(s, 0)[0] == s
+    with pytest.raises(HypothesisViolation):
+        frob_twist(s, -1)
+    # a trace of rewrites that ends in a symbol does not conclude split
+    assert not RewriteTrace((step,)).concludes_split
+    assert not RewriteTrace(()).concludes_split
 
 
 def test_power_adjust_b():
@@ -102,6 +124,8 @@ def test_absorb_split():
     assert step.after is SPLIT
     with pytest.raises(HypothesisViolation):
         absorb_split(BrauerSymbol(W("[t^2; 0]", F2), L("t", F2)))
+    with pytest.raises(HypothesisViolation):
+        absorb_split(BrauerSymbol(W("[t; t^-1]", F2), L("t", F2)))
 
 
 def test_tampered_step_rejected():
@@ -148,6 +172,8 @@ def _tampered(step):
     replace = dataclasses.replace
     if step.after is SPLIT:
         yield replace(step, after=step.before[0])
+        # equal to the sentinel, but not it
+        yield replace(step, after="".join(SPLIT))
     else:
         yield replace(step, after=SPLIT)
         after = step.after
@@ -161,6 +187,29 @@ def _tampered(step):
         yield replace(step, params={"r": 1})
     if step.rule in _WRONG_PARAMS:
         yield replace(step, params=_WRONG_PARAMS[step.rule])
+    if step.rule in _NEAR_MISSES:
+        yield _NEAR_MISSES[step.rule]()
+
+
+def _near_miss_same_omega():
+    # two different vectors under one same_omega step
+    s1 = BrauerSymbol(W("[t^-1; t]", F2), L("t", F2))
+    s2 = BrauerSymbol(W("[t^-1; t^-3]", F2), L("t^3", F2))
+    return TraceStep("same_omega", (s1, s2), BrauerSymbol(s1.omega, s1.b * s2.b))
+
+
+def _near_miss_as_coboundary():
+    # F(g) - g is omega in component 1 only: g's second component is off
+    g = W("[t^-1; t^-1]", F2)
+    sym = BrauerSymbol(artin_schreier_map(g), L("t", F2))
+    return TraceStep("as_coboundary", (sym,), SPLIT, {"g": W("[t^-1; t^-3]", F2)})
+
+
+# steps that differ from a valid one only where a rule's check looks
+_NEAR_MISSES = {
+    "same_omega": _near_miss_same_omega,
+    "as_coboundary": _near_miss_as_coboundary,
+}
 
 
 @pytest.mark.parametrize("rule", sorted(brauer._RULES))
@@ -376,10 +425,18 @@ def test_normalize_skips_twist_when_roots_exist():
 
 
 def test_normalize_fixed_point():
-    sym = BrauerSymbol(W("[t^2; t^4]", F2), L("t^-3", F2))
-    n = normalize_symbol(sym)
-    assert n.trace.steps == ()
-    assert n.symbol == sym
+    for b in ("t^-3", "t^-1"):
+        sym = BrauerSymbol(W("[t^2; t^4]", F2), L(b, F2))
+        n = normalize_symbol(sym)
+        assert n.trace.steps == ()
+        assert n.symbol == sym
+
+
+def test_dominate_b_goes_below_zero():
+    # v(b) < min(0, v(omega_i)) even where every v(omega_i) is positive
+    sym, (step,) = dominate_b(BrauerSymbol(W("[t]", F2), L("1 + t", F2)))
+    assert sym.b.val() == -2
+    step.validate()
 
 
 def test_normalize_postconditions_random():
@@ -422,6 +479,9 @@ def test_split_quick_pth_power_b():
     trace = is_split_quick(sym)
     assert trace is not None and trace.concludes_split
     trace.validate()
+    # an integral vector needs b known only one place past its lead
+    sym = BrauerSymbol(W("[u]", F2U), L("t^2 + O(t^3)", F2U))
+    assert [s.rule for s in is_split_quick(sym).steps] == ["pth_power_b"]
 
 
 def test_split_quick_inverts_each_power_of_b_once(monkeypatch):
@@ -524,6 +584,13 @@ def test_split_quick_certifies_lemma53_shapes():
         assert trace is not None
         trace.validate()
         assert trace.concludes_split
+    # the window rule reads the final pth_power_b step's symbol, not the
+    # [a*, a*) of the absorb step before it, whose window is too short
+    sym = parse_symbol("[[t^-5 + t^-2 + O(t^-1)]; 2*t^2 + t^5 + O(t^6))", F3)
+    trace = is_split_quick(sym)
+    assert [s.rule for s in trace.steps][-2:] == ["absorb", "pth_power_b"]
+    assert not brauer._b_window_decides(trace.steps[-2].before[0])
+    trace.validate()
 
 
 def test_split_quick_needs_zeros_known_to_t():
@@ -534,9 +601,17 @@ def test_split_quick_needs_zeros_known_to_t():
     assert is_split_quick(
         BrauerSymbol(W("[0 + O(t^0); 0 + O(t^-2)]", F2), L("t", F2))
     ) is None
-    trace = is_split_quick(BrauerSymbol(W("[O(t^1)]", F2), L("t", F2)))
-    assert [s.rule for s in trace.steps] == ["as_coboundary"]
-    trace.validate()
+    for omega in ("[O(t^1)]", "[O(t^1); O(t^1)]"):
+        trace = is_split_quick(BrauerSymbol(W(omega, F2), L("t", F2)))
+        assert [s.rule for s in trace.steps] == ["as_coboundary"]
+        trace.validate()
+
+
+def test_split_quick_refuses_a_zero_known_only_to_t0():
+    # [O(t^0)] completes to [1], and [1, t) is the unramified division
+    # algebra, so the zero certificate needs O(t^1)
+    with pytest.raises(PrecisionExhausted):
+        is_split_quick(BrauerSymbol(W("[O(t^0)]", F2), L("t", F2)))
 
 
 @pytest.mark.parametrize("b, certified", [

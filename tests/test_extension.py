@@ -96,6 +96,10 @@ def test_classify_deg_p_unramified():
 def test_classify_deg_p_split():
     rep = classify_deg_p(L("t^2 + t^5", F2))
     assert rep.classification is Classification.SPLIT
+    # a constant in the image of g^p - g reduces to zero
+    rep = classify_deg_p(L("u^2 + u", F2U))
+    assert rep.classification is Classification.SPLIT
+    assert rep.reduced.is_apparent_zero
 
 
 def test_classify_deg_p_stall_is_unclassified():
@@ -182,6 +186,7 @@ def test_classify_len2_totally_ramified():
 def test_classify_len2_unramified():
     rep = classify_len2(W("[u; u^3]", F2U))
     assert rep.classification is Classification.UNRAMIFIED
+    assert rep.evidence["second_constant"] == "u^3"
 
 
 def test_classify_len2_stall_is_unclassified():
@@ -193,6 +198,9 @@ def test_classify_len2_dominated_second_component():
     rep = classify_len2(W("[t^-1; t^-5]", F2))
     assert rep.classification is Classification.UNCLASSIFIED
     assert rep.evidence["v_omega2"] == -5
+    # p * v2 = -10 sits just below the threshold v1 * (p^2 - p + 1) = -9
+    rep = classify_len2(W("[t^-3; t^-5]", F2))
+    assert rep.classification is Classification.UNCLASSIFIED
 
 
 def test_classify_len2_degenerate_first():

@@ -1,6 +1,7 @@
 """End-to-end constructions: subfield witnesses, cyclic presentations,
 division certificates, and the two-direction roundtrip."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from wittram.errors import (
     ShapeMismatch,
     UnsupportedCase,
 )
-from wittram.extension import Classification
+from wittram.extension import Classification, classify
 from wittram.theorems import (
     build_disjoint_division_pair,
     conjecture_roundtrip,
@@ -40,6 +41,30 @@ def test_insep_normal_form_golden():
     nf2 = insep_normal_form(L("u * t^-1", F2U), 1)
     assert nf2.root_valuation == Fraction(-1, 2)
     assert nf2.verify()
+
+    assert insep_normal_form(L("t", F2), 4).root_valuation == Fraction(1, 16)
+
+
+def test_certificates_reject_tampered_fields():
+    replace = dataclasses.replace
+    nf = insep_normal_form(L("t", F2), 2)
+    for bad in (replace(nf, b=L("t^2", F2)),
+                replace(nf, root_valuation=Fraction(1, 2))):
+        with pytest.raises(HypothesisViolation):
+            bad.verify()
+    w = cyclic_to_insep(W("[t^-1]", F2), L("t^2", F2))
+    for bad in (replace(w, c=w.b, norm_factor=None),
+                replace(w, c=L("t^3", F2)),
+                replace(w, report=classify(W("[1]", F2)))):
+        with pytest.raises(HypothesisViolation):
+            bad.verify()
+
+
+def test_constructions_refuse_a_series_for_a_vector():
+    with pytest.raises(ShapeMismatch):
+        cyclic_to_insep(L("t^-1", F2), L("t", F2))
+    with pytest.raises(ShapeMismatch):
+        division_certificate(L("u", F2U), L("t", F2U))
 
 
 def test_insep_normal_form_guards():
@@ -252,6 +277,30 @@ def test_division_certificate_names_failed_hypothesis():
         division_certificate(W("[t^-1]", F2U), L("t", F2U))
 
 
+def test_division_certificate_needs_an_unramified_verdict():
+    # [u*t^-2] is Unclassified, not merely short of totally ramified
+    assert classify(W("[u*t^-2]", F2U)).classification is (
+        Classification.UNCLASSIFIED
+    )
+    with pytest.raises(HypothesisNotVerified, match="unramified_extension"):
+        division_certificate(W("[u*t^-2]", F2U), L("t", F2U))
+
+
+@pytest.mark.parametrize("omega, b, spec", [
+    ("[0; 1]", "t", F3),
+    ("[t + t^2 + t^3; 1 + t^2]", "t^-5 + t^4", F2),
+])
+def test_division_certificate_refuses_degenerate_vectors(omega, b, spec):
+    # the first component reduces to zero, so the unramified extension
+    # has degree p and the symbol has index p, not p^2
+    omega = W(omega, spec)
+    report = classify(omega)
+    assert report.classification is Classification.UNRAMIFIED
+    assert report.evidence["degenerate"]
+    with pytest.raises(HypothesisNotVerified, match="unramified_extension"):
+        division_certificate(omega, L(b, spec))
+
+
 def _random_unramified_vector(rng, spec, m):
     # first component a nonsplit constant, later components integral
     lead = LaurentElem.from_residue(sampling.random_nonsplit_constant(rng, spec))
@@ -280,9 +329,11 @@ def test_disjoint_pair_golden_f2u():
     assert a1 == F2U.u()
     assert a2 == F2U.element((0, 0, 0, 1))
     assert pair.sweep["combinations_checked"] == 3
-    for cert in pair:
+    for cert, a in zip(pair, pair.classes):
         assert cert.is_division
         assert cert.v_b == 1
+        assert cert.m == 1
+        assert cert.residue_data["residue_constant"] == str(a)
 
 
 def test_disjoint_pair_golden_f3u():
@@ -293,6 +344,9 @@ def test_disjoint_pair_golden_f3u():
     assert pair.sweep["combinations_checked"] == 8
     assert pair.first.m == 2
     assert pair.second.report.classification is Classification.UNRAMIFIED
+    for cert, a in zip(pair, pair.classes):
+        assert cert.residue_data["residue_constant"] == str(a)
+        assert cert.residue_data["second_constant"] == "0"
 
 
 def test_disjoint_pair_classes_independent():

@@ -15,6 +15,7 @@ from wittram.valued import (
     LaurentElem,
     ext_val,
     frobenius_power,
+    mul_ints,
     power_precision,
     pth_power,
     pth_root,
@@ -341,6 +342,18 @@ def test_fp_kernel_matches_coefficient_loops(spec):
         for y in others:
             check(operator.add, series_add, x, y)
             check(operator.mul, series_mul, x, y)
+
+
+def test_mul_ints_adds_an_unreduced_product_into_out():
+    # 5 * (2*t^-1 + 4*t^2) * (3*t + 4*t^4) below t^6, added into out: the
+    # t^6 product is dropped, t^3's sum 100 cancels out's -100 to a kept
+    # zero, and nothing is reduced mod any p
+    out = {5: 1, 3: -100}
+    assert mul_ints({-1: 2, 2: 4}, {1: 3, 4: 4}, 6, out, 5) is out
+    assert out == {5: 1, 3: 0, 0: 30}
+    assert list(out) == [5, 3, 0]
+    assert mul_ints({0: 2}, {5: 3, 6: 1}, 6, {}, 1) == {5: 6}
+    assert mul_ints({}, {0: 1}, 6, {}, 1) == {}
 
 
 def test_fp_series_arithmetic_makes_no_residue_sums_or_products(monkeypatch):

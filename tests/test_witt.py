@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from wittram import witt
 from wittram.coeff import FieldKind, FieldSpec, ResidueElem
 from wittram.errors import LimitExceeded, ShapeMismatch
-from wittram.valued import DEFAULT_PRECISION, LaurentElem, power_precision
+from wittram.valued import DEFAULT_PRECISION, LaurentElem, mul_ints, power_precision
 from wittram.witt import (
     IntPoly,
     WittVector,
@@ -253,8 +254,17 @@ def _check_law_parity(a, b):
     _assert_same(artin_schreier_map(a), _reference_as_map(a))
 
 
-def _random_vector(rng, spec, m):
-    return WittVector(spec.p, m, [_random_component(rng, spec) for _ in range(m)])
+def _dense_component(rng, spec):
+    """8 to 12 terms with exponents in [-3, 8], known to a precision
+    between 16 and 100."""
+    terms, size = {}, rng.randrange(8, 13)
+    while len(terms) < size:
+        terms[rng.randrange(-3, 9)] = _random_coeff(rng, spec)
+    return LaurentElem(spec, terms, rng.randrange(16, 101))
+
+
+def _random_vector(rng, spec, m, component=_random_component):
+    return WittVector(spec.p, m, [component(rng, spec) for _ in range(m)])
 
 
 def _check_random_law_parity(rng, kinds, p, m, draws):
@@ -266,10 +276,27 @@ def _check_random_law_parity(rng, kinds, p, m, draws):
 
 
 @pytest.mark.parametrize("p,m,draws", _LAW_SHAPES)
-def test_group_law_matches_z_polynomials(p, m, draws):
+def test_group_law_matches_z_polynomials(p, m, draws, monkeypatch):
     rng = random.Random(1000 * p + m)
     kinds = (FieldKind.PRIME, FieldKind.RATIONAL) if m <= 2 else (FieldKind.PRIME,)
     _check_random_law_parity(rng, kinds, p, m, draws)
+    # one dense draw over F_p per shape: from m = 2 on, the sums the law
+    # reduces pass p^3, and some are nonzero yet vanish mod p at that one
+    # reduction
+    sums = []
+    from_ints = LaurentElem._from_ints.__func__
+    monkeypatch.setattr(LaurentElem, "_from_ints", classmethod(
+        lambda cls, spec, ints, n: sums.append(ints) or from_ints(cls, spec, ints, n)
+    ))
+    spec = FieldSpec(p, FieldKind.PRIME)
+    a = _random_vector(rng, spec, m, _dense_component)
+    b = _random_vector(rng, spec, m, _dense_component)
+    witt_add(a, b)
+    if m > 1:
+        coeffs = [c for ints in sums for c in ints.values()]
+        assert max(coeffs) > p ** 3
+        assert any(c and not c % p for c in coeffs)
+    _check_law_parity(a, b)
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2), (2, 3), (3, 3), (2, 4)])
@@ -540,6 +567,22 @@ def test_fp_group_law_makes_one_series_product_per_table_power(monkeypatch):
     monkeypatch.undo()
     _assert_same(got, _reference_add(a, b))
     _assert_same(got_as, _reference_as_map(c))
+
+
+def test_fp_group_law_multiplies_out_only_monomials_nonzero_mod_p(monkeypatch):
+    # S_2 at p = 3 has two monomials that vanish mod 3; with every
+    # argument live, each other monomial costs one dict product per
+    # factor after its first
+    a = W("[t^-1 + 2*t; t^-2 + t^3; 2 + t]", F3)
+    b = W("[t^-2 + t; 2*t^-1 + t^4; t^-1]", F3)
+    calls = []
+    monkeypatch.setattr(
+        witt, "mul_ints", lambda *args: calls.append(1) or mul_ints(*args)
+    )
+    witt_add(a, b)
+    monomials = [x for monos in witt._sum_law(3, 3).monomials for x in monos]
+    assert sum(c == 0 for _, c, _ in monomials) == 2
+    assert len(calls) == sum(len(f) - 1 for f, c, _ in monomials if c)
 
 
 def test_fp_u_group_law_makes_one_series_product_per_table_power(monkeypatch):
