@@ -305,10 +305,9 @@ class _LawModP:
     variable order, c is its coefficient reduced mod p, mask has bit i
     set for each variable i in factors, and the monomials keep the
     Z-polynomials' order.  A law vanishes at zero, so no monomial is
-    constant.  masks pairs each mask that some monomial has with the
-    variables it sets."""
+    constant."""
 
-    __slots__ = ("polys", "monomials", "masks", "_needs")
+    __slots__ = ("polys", "monomials", "_needs")
 
     def __init__(self, polys, p):
         self.polys = polys
@@ -320,11 +319,6 @@ class _LawModP:
             ])
             for poly in polys
         ])
-        self.masks = tuple({
-            mask: tuple([i for i, _ in factors])
-            for monomials in self.monomials
-            for factors, _, mask in monomials
-        }.items())
         self._needs = {}
 
     def needs(self, live):
@@ -388,15 +382,15 @@ def _eval_law(law, args):
     x_i ** e known to e*v_i + r_i for every e >= 1, r_i being
     power_precision(v_i, n_i, 1) - v_i, so valued's product rule gives
     a monomial its weight, the sum of its e*v_i, plus the least r_i of
-    its mask.  Each weight is worked out once per call, and each mask's
-    least r_i once per call.  The second multiplies out the monomials
-    with c != 0 and no apparent-zero factor, the only ones with terms
-    (valued.mul_ints or valued.mul_terms), into one dict wrapped as one
-    series.  Over F_p the dict holds unreduced ints: a monomial's last
-    product is added into it, times c, by mul_ints, a one-factor
-    monomial adds c times its power-table row, and _from_ints reduces
-    each exponent's sum mod p once.  _power_table builds each argument's
-    powers only as far as law.needs says those monomials use them.
+    its factors.  Each weight is worked out once per call.  The second
+    multiplies out the monomials with c != 0 and no apparent-zero
+    factor, the only ones with terms (valued.mul_ints or
+    valued.mul_terms), into one dict wrapped as one series.  Over F_p
+    the dict holds unreduced ints: a monomial's last product is added
+    into it, times c, by mul_ints, a one-factor monomial adds c times
+    its power-table row, and _from_ints reduces each exponent's sum mod
+    p once.  _power_table builds each argument's powers only as far as
+    law.needs says those monomials use them.
 
     Residue components and operands of mixed kinds or specs go to
     IntPoly.evaluate on each Z-polynomial.
@@ -408,7 +402,6 @@ def _eval_law(law, args):
     live = sum([1 << i for i, x in enumerate(args) if x.terms])
     vals = [x.val_lower_bound() for x in args]
     rels = [power_precision(v, x.precision, 1) - v for v, x in zip(vals, args)]
-    least = {mask: min([rels[i] for i in idx]) for mask, idx in law.masks}
     # per variable, the terms of x ** 1, x ** 2, ... as far as needed,
     # as ints over F_p
     powers = [
@@ -423,7 +416,8 @@ def _eval_law(law, args):
         ]
         # precision: over every monomial, those without terms included
         cut = min([
-            w + least[mask] for w, (_, _, mask) in zip(weights, monomials)
+            w + min([rels[i] for i, _ in factors])
+            for w, (factors, _, _) in zip(weights, monomials)
         ])
         # values: a partial product is kept only below cut minus the
         # weights of the factors still to come, which is never above the

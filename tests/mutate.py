@@ -9,7 +9,8 @@ Each mutant changes one spot of a target in a copy of the repository:
   raise      a raise statement replaced by pass
 
 and Tier-1 runs against it with -x.  A mutant is killed when a test fails
-or the run passes its time limit, and survives when every test passes.
+or the run passes its time limit, ten times the unmutated copy's Tier-1
+wall time, and survives when every test passes.
 Each survivor needs a test that kills it, or an argument that it is
 equivalent.  Nothing here is collected by pytest, and only the standard
 library is used.
@@ -161,9 +162,6 @@ def main():
                         help="print the numbered mutants and exit")
     parser.add_argument("--only", type=int, nargs="+",
                         help="run only these mutant numbers")
-    parser.add_argument("--timeout", type=float, default=180,
-                        help="seconds before a mutant's Tier-1 run counts "
-                        "as killed (default 180)")
     args = parser.parse_args()
 
     found = mutants()
@@ -179,9 +177,12 @@ def main():
         skip = shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis")
         shutil.copytree(ROOT, workdir, dirs_exist_ok=True, ignore=skip)
-        if run_tier1(workdir, args.timeout) != "survived":
+        start = time.monotonic()
+        if run_tier1(workdir, None) != "survived":
             print("Tier-1 does not pass on the unmutated copy", file=sys.stderr)
             return 2
+        # a mutant that loops or slows Tier-1 tenfold counts as killed
+        limit = 10 * (time.monotonic() - start)
         counts, survivors = {}, []
         for n in chosen:
             m = found[n]
@@ -190,7 +191,7 @@ def main():
             path.write_text(apply(m, original))
             start = time.monotonic()
             try:
-                verdict = run_tier1(workdir, args.timeout)
+                verdict = run_tier1(workdir, limit)
             finally:
                 path.write_text(original)
             counts[verdict] = counts.get(verdict, 0) + 1
@@ -203,7 +204,7 @@ def main():
     total = sum(counts.values())
     dead = total - counts.get("survived", 0)
     print(f"score {dead}/{total} killed "
-          f"({counts.get('timeout', 0)} by the time limit)")
+          f"({counts.get('timeout', 0)} by the {limit:.0f} s time limit)")
     for n, m in survivors:
         print(f"survivor {n}: {m}")
     return 0

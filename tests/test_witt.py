@@ -280,9 +280,10 @@ def test_group_law_matches_z_polynomials(p, m, draws, monkeypatch):
     rng = random.Random(1000 * p + m)
     kinds = (FieldKind.PRIME, FieldKind.RATIONAL) if m <= 2 else (FieldKind.PRIME,)
     _check_random_law_parity(rng, kinds, p, m, draws)
-    # one dense draw over F_p per shape: from m = 2 on, the sums the law
-    # reduces pass p^3, and some are nonzero yet vanish mod p at that one
-    # reduction
+    # one dense draw over F_p per shape: from m = 2 on, the component sums
+    # the law reduces pass p^3, and some are nonzero yet vanish mod p at
+    # that one reduction.  witt_add builds its power tables first, so the
+    # last m reductions are the m component sums.
     sums = []
     from_ints = LaurentElem._from_ints.__func__
     monkeypatch.setattr(LaurentElem, "_from_ints", classmethod(
@@ -293,7 +294,7 @@ def test_group_law_matches_z_polynomials(p, m, draws, monkeypatch):
     b = _random_vector(rng, spec, m, _dense_component)
     witt_add(a, b)
     if m > 1:
-        coeffs = [c for ints in sums for c in ints.values()]
+        coeffs = [c for ints in sums[-m:] for c in ints.values()]
         assert max(coeffs) > p ** 3
         assert any(c and not c % p for c in coeffs)
     _check_law_parity(a, b)
