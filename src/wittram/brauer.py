@@ -351,7 +351,7 @@ def lemma53_split(r, i, c, b):
     inner, core = _lemma53_core(r, i, d, d_inverse, cuts, b)
     a2 = inner.omega.components[0]
     sym = BrauerSymbol(_vector(p, (_zero_like(b), a2)), b)
-    if len(core.steps) == 1 and core.steps[0].rule == "as_coboundary":
+    if a2.is_apparent_zero:
         return RewriteOutcome(SPLIT, RewriteTrace((_zero_split(sym),)))
     _, strip = strip_zero(sym)
     return RewriteOutcome(SPLIT, RewriteTrace((strip,) + core.steps))
@@ -486,9 +486,7 @@ def _split_steps(sym):
         _, w = decide_constant(red.constant)
         if w is None:
             return None
-        g = red.witness + LaurentElem.from_residue(
-            w, max(red.element.precision, 1)
-        )
+        g = red.witness + LaurentElem.from_residue(w, red.element.precision)
         return [as_coboundary_split(sym, _vector(p, (g,)))]
     # look for lemma 5.3's shape F(d) * b^(p-i); r * F(d) = F(r * d) for
     # r in F_p, so the shape with r = 1 covers every scalar, and the trace
@@ -501,6 +499,9 @@ def _split_steps(sym):
         v, n = d.val_lower_bound(), d.precision
         cuts = (p * n, p * (n - 2 * v), n - 2 * v)
         inner, core = _lemma53_core(1, i, d, d.inverse, cuts, b)
+        # the trace is built from d and b alone: until a trace can be
+        # replayed from its input, inner == sym is the only link between
+        # it and the symbol searched
         if inner == sym and _b_window_decides(core.steps[-1].before[0]):
             return list(core.steps)
     return None

@@ -25,15 +25,17 @@ Equality means "indistinguishable at the shared precision": all
 coefficients below min(Na, Nb) agree.  Laurent elements are therefore
 not hashable.
 
-Over F_p, sums, negatives, products, integer scalings, inverses and
-p-th powers compute on the integers c.num[0], reduce mod p once per
-output exponent (a product through _from_ints, after mul_ints has added
-its unreduced term products into one dict) and map each result back to
-the field's canonical constant; over F_p(u) they combine ResidueElem
-coefficients.  The product loops, mul_ints and mul_terms, serve the Witt
-group law too.  The precision rules above are the same on both paths.
+Sums, negatives, integer scalings and products have one body each,
+written on {exponent: coefficient} dicts through the field's series
+form (series_form): over F_p the coefficients are the ints c.num[0],
+added and multiplied unreduced and reduced mod p once per exponent when
+the dict is wrapped as a series; over F_p(u) they are ResidueElems, and
+wrapping drops the zeros.  The Witt group law works through the same
+form.  Inverses and p-th powers keep an F_p branch on ints.  The
+precision rules above are the same for both fields.
 """
 
+import collections
 import math
 from fractions import Fraction
 
@@ -75,16 +77,6 @@ class LaurentElem:
         _set_terms(obj, terms)
         _set_precision(obj, precision)
         return obj
-
-    @classmethod
-    def _from_ints(cls, spec, ints, precision):
-        # Over F_p: integer coefficients keyed by exponent, reduced mod p
-        # once each; zeros and exponents at or above precision are dropped.
-        p = spec.p
-        table = spec._constants
-        return cls._trusted(spec, {
-            e: table[r] for e, c in ints.items() if e < precision and (r := c % p)
-        }, precision)
 
     # -- constructors ---------------------------------------------------------
 
@@ -154,31 +146,15 @@ class LaurentElem:
 
     def __add__(self, other):
         self._check(other)
-        spec = self.spec
-        precision = min(self.precision, other.precision)
-        if spec.kind is _PRIME:
-            ints = {e: c.num[0] for e, c in self.terms.items()}
-            for e, c in other.terms.items():
-                ints[e] = ints.get(e, 0) + c.num[0]
-            return LaurentElem._from_ints(spec, ints, precision)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            cur = terms.get(e)
-            terms[e] = c if cur is None else cur + c
-        return LaurentElem._trusted(
-            spec,
-            {e: c for e, c in terms.items() if e < precision and c.num},
-            precision,
-        )
+        form = series_form(self.spec)
+        out = form.add_into(dict(form.unwrap(self)), form.unwrap(other), 1)
+        return form.wrap(self.spec, out, min(self.precision, other.precision))
 
     def __neg__(self):
-        spec = self.spec
-        if spec.kind is _PRIME:
-            p, table = spec.p, spec._constants
-            terms = {e: table[p - c.num[0]] for e, c in self.terms.items()}
-        else:
-            terms = {e: -c for e, c in self.terms.items()}
-        return LaurentElem._trusted(spec, terms, self.precision)
+        form = series_form(self.spec)
+        return form.wrap(
+            self.spec, form.add_into({}, form.unwrap(self), -1), self.precision
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -188,19 +164,9 @@ class LaurentElem:
         va = self.val_lower_bound()
         vb = other.val_lower_bound()
         precision = min(va + other.precision, vb + self.precision)
-        spec = self.spec
-        if spec.kind is _PRIME:
-            ints = mul_ints(
-                {e: c.num[0] for e, c in self.terms.items()},
-                {e: c.num[0] for e, c in other.terms.items()},
-                precision,
-                {},
-                1,
-            )
-            return LaurentElem._from_ints(spec, ints, precision)
-        return LaurentElem._trusted(
-            spec, mul_terms(self.terms, other.terms, precision), precision
-        )
+        form = series_form(self.spec)
+        out = form.mul_into(form.unwrap(self), form.unwrap(other), precision, {}, 1)
+        return form.wrap(self.spec, out, precision)
 
     def scale(self, c):
         """Multiply by a residue-field scalar (exact, keeps precision)."""
@@ -218,15 +184,8 @@ class LaurentElem:
             return self
         if r == 0:
             return LaurentElem._trusted(spec, {}, self.precision)
-        if spec.kind is _PRIME:
-            return LaurentElem._from_ints(
-                spec, {e: x.num[0] * c for e, x in self.terms.items()}, self.precision
-            )
-        return LaurentElem(
-            spec,
-            {e: x.scale_int(c) for e, x in self.terms.items()},
-            self.precision,
-        )
+        form = series_form(spec)
+        return form.wrap(spec, form.add_into({}, form.unwrap(self), c), self.precision)
 
     def ring_one(self):
         return LaurentElem.one(self.spec, max(self.precision, DEFAULT_PRECISION))
@@ -255,7 +214,7 @@ class LaurentElem:
                         break
                     acc += unit[off] * q[k - off]
                 q.append(-lead_inv * acc % p)
-            return LaurentElem._from_ints(
+            return _wrap_ints(
                 self.spec, {k - v: c for k, c in enumerate(q)}, self.precision - 2 * v
             )
         q = [lead_inv]
@@ -338,9 +297,9 @@ _set_precision = LaurentElem.precision.__set__
 def mul_ints(a, b, precision, out, c):
     """Add c times the product of two F_p series, given as {exponent: int}
     dicts, into the dict out below t^precision, and return out.  Nothing
-    is reduced mod p and no zero is dropped: the caller reduces once per
-    exponent, through LaurentElem._from_ints.  New exponents join out in
-    the order the term products first reach them."""
+    is reduced mod p and no zero is dropped: wrapping reduces once per
+    exponent.  New exponents join out in the order the term products
+    first reach them."""
     right = list(b.items())
     for ea, ca in a.items():
         ca *= c
@@ -351,20 +310,73 @@ def mul_ints(a, b, precision, out, c):
     return out
 
 
-def mul_terms(a, b, precision):
-    """The product of two F_p(u) series given as {exponent: ResidueElem}
-    dicts, below t^precision: zeros dropped, and the exponents in the
-    order the term products first reach them."""
-    out = {}
+def mul_terms(a, b, precision, out, c):
+    """mul_ints for two F_p(u) series given as {exponent: ResidueElem}
+    dicts: c times their product is added into out below t^precision,
+    zero sums are kept, and out is returned."""
     right = list(b.items())
     for ea, ca in a.items():
+        ca = ca if c == 1 else ca.scale_int(c)
         for eb, cb in right:
             e = ea + eb
             if e < precision:
                 prod = ca * cb
                 cur = out.get(e)
                 out[e] = prod if cur is None else cur + prod
-    return {e: c for e, c in out.items() if c.num}
+    return out
+
+
+def _unwrap_ints(x):
+    return {e: c.num[0] for e, c in x.terms.items()}
+
+
+def _add_ints(out, x, c):
+    for e, a in x.items():
+        out[e] = out.get(e, 0) + c * a
+    return out
+
+
+def _wrap_ints(spec, ints, precision):
+    p = spec.p
+    table = spec._constants
+    return LaurentElem._trusted(spec, {
+        e: table[r] for e, c in ints.items() if e < precision and (r := c % p)
+    }, precision)
+
+
+def _unwrap_terms(x):
+    return x.terms
+
+
+def _add_terms(out, x, c):
+    for e, a in x.items():
+        a = a if c == 1 else a.scale_int(c)
+        cur = out.get(e)
+        out[e] = a if cur is None else cur + a
+    return out
+
+
+def _wrap_terms(spec, terms, precision):
+    return LaurentElem._trusted(spec, {
+        e: c for e, c in terms.items() if e < precision and c.num
+    }, precision)
+
+
+# unwrap(x): x's terms as an {exponent: coefficient} dict, to be read only;
+# add_into(out, x, c): add c*x into the dict out, and return out;
+# mul_into(a, b, precision, out, c): add c*a*b into out below t^precision;
+# wrap(spec, out, precision): the series of out's nonzero terms below
+# t^precision.  Sums in out are kept as they fall, zeros included.
+_Form = collections.namedtuple("_Form", "unwrap add_into mul_into wrap")
+_INTS = _Form(_unwrap_ints, _add_ints, mul_ints, _wrap_ints)
+_TERMS = _Form(_unwrap_terms, _add_terms, mul_terms, _wrap_terms)
+
+
+def series_form(spec):
+    """The form of series arithmetic over spec's field on {exponent:
+    coefficient} dicts: ints reduced mod p once, when wrapped, over F_p;
+    ResidueElems over F_p(u)."""
+    return _INTS if spec.kind is _PRIME else _TERMS
 
 
 def power_precision(v, n, e):

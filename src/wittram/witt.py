@@ -12,10 +12,11 @@ component.  One takes the precision from one closed form per monomial:
 the sum of its factors' e*v plus the least relative precision r of
 their arguments.  The other multiplies out on {exponent: coefficient}
 dicts only the monomials that can have terms, those nonzero mod p with
-no apparent-zero argument, and builds only the powers they use.  Over
-F_p each monomial's last product is added straight into the component's
-sum, and the sum is reduced mod p once per exponent.  Residue components
-and mixed operands go to IntPoly.evaluate; see _eval_law.
+no apparent-zero argument, and builds only the powers they use.  Each
+monomial's last product is added straight into the component's sum,
+through valued's series form, so the law never names the field.
+Residue components and mixed operands go to IntPoly.evaluate; see
+_eval_law.
 
 Generation is capped at m <= 4 and p <= 5: beyond that the universal
 polynomials outgrow the desk scale this package targets.
@@ -24,7 +25,6 @@ polynomials outgrow the desk scale this package targets.
 import functools
 import math
 
-from .coeff import FieldKind
 from .errors import (
     InternalInexactDivision,
     LimitExceeded,
@@ -35,10 +35,9 @@ from .valued import (
     LaurentElem,
     binary_power,
     frobenius_power,
-    mul_ints,
-    mul_terms,
     power_precision,
     pth_power,
+    series_form,
 )
 
 _MAX_M = 4
@@ -374,8 +373,8 @@ def _eval_law(law, args):
     to IntPoly.evaluate on each of its Z-polynomials.
 
     Series over one residue field, F_p or F_p(u), take two passes per
-    component, held as {exponent: coefficient} dicts: ints over F_p,
-    ResidueElems over F_p(u).  The first takes the least precision over
+    component, held as {exponent: coefficient} dicts in the field's
+    valued.series_form.  The first takes the least precision over
     every monomial, including those that vanish mod p or have an
     apparent-zero factor, whose product would still have cut the
     precision of the sum.  Argument i, with valuation bound v_i, has
@@ -384,13 +383,11 @@ def _eval_law(law, args):
     a monomial its weight, the sum of its e*v_i, plus the least r_i of
     its factors.  Each weight is worked out once per call.  The second
     multiplies out the monomials with c != 0 and no apparent-zero
-    factor, the only ones with terms (valued.mul_ints or
-    valued.mul_terms), into one dict wrapped as one series.  Over F_p
-    the dict holds unreduced ints: a monomial's last product is added
-    into it, times c, by mul_ints, a one-factor monomial adds c times
-    its power-table row, and _from_ints reduces each exponent's sum mod
-    p once.  _power_table builds each argument's powers only as far as
-    law.needs says those monomials use them.
+    factor, the only ones with terms, into one dict wrapped as one
+    series: a monomial's last product is added into it times c by the
+    form's mul_into, and a one-factor monomial's power-table row by its
+    add_into.  _power_table builds each argument's powers only as far
+    as law.needs says those monomials use them.
 
     Residue components and operands of mixed kinds or specs go to
     IntPoly.evaluate on each Z-polynomial.
@@ -398,15 +395,14 @@ def _eval_law(law, args):
     spec = args[0].spec
     if not all(isinstance(x, LaurentElem) and x.spec is spec for x in args):
         return [poly.evaluate(args) for poly in law.polys]
-    prime = spec.kind is FieldKind.PRIME
+    form = series_form(spec)
+    unwrap, add_into, mul_into = form.unwrap, form.add_into, form.mul_into
     live = sum([1 << i for i, x in enumerate(args) if x.terms])
     vals = [x.val_lower_bound() for x in args]
     rels = [power_precision(v, x.precision, 1) - v for v, x in zip(vals, args)]
-    # per variable, the terms of x ** 1, x ** 2, ... as far as needed,
-    # as ints over F_p
+    # per variable, the terms of x ** 1, x ** 2, ... as far as needed
     powers = [
-        [{e: c.num[0] for e, c in y.terms.items()} if prime else y.terms
-         for y in _power_table(x, top, r)] if top else []
+        [unwrap(y) for y in _power_table(x, top, r)] if top else []
         for x, top, r in zip(args, law.needs(live), rels)
     ]
     out = []
@@ -421,8 +417,8 @@ def _eval_law(law, args):
         ])
         # values: a partial product is kept only below cut minus the
         # weights of the factors still to come, which is never above the
-        # precision the product itself has; over F_p the last product
-        # goes straight into acc, unreduced
+        # precision the product itself has; the last product, or a
+        # one-factor monomial's row, goes straight into acc
         acc = {}
         for rest, (factors, c, mask) in zip(weights, monomials):
             if c == 0 or mask & ~live:
@@ -431,29 +427,13 @@ def _eval_law(law, args):
             for i, e in factors[:-1]:
                 rest -= e * vals[i]
                 row = powers[i][e - 1]
-                prod = (row if prod is None
-                        else mul_ints(prod, row, cut - rest, {}, 1) if prime
-                        else mul_terms(prod, row, cut - rest))
+                prod = row if prod is None else mul_into(prod, row, cut - rest, {}, 1)
             i, e = factors[-1]
-            row = powers[i][e - 1]
-            if prod is not None:
-                if prime:
-                    mul_ints(prod, row, cut, acc, c)
-                    continue
-                row = mul_terms(prod, row, cut)
-            for e, x in row.items():
-                if prime:
-                    acc[e] = acc.get(e, 0) + c * x
-                else:
-                    x = x if c == 1 else x.scale_int(c)
-                    cur = acc.get(e)
-                    acc[e] = x if cur is None else cur + x
-        if prime:
-            out.append(LaurentElem._from_ints(spec, acc, cut))
-        else:
-            out.append(LaurentElem._trusted(spec, {
-                e: x for e, x in acc.items() if e < cut and x.num
-            }, cut))
+            if prod is None:
+                add_into(acc, powers[i][e - 1], c)
+            else:
+                mul_into(prod, powers[i][e - 1], cut, acc, c)
+        out.append(form.wrap(spec, acc, cut))
     return out
 
 

@@ -41,6 +41,13 @@ TARGETS = (
     ("coeff", "in_AS_image"),
     ("valued", "power_precision"),
     ("valued", "mul_ints"),
+    ("valued", "mul_terms"),
+    ("valued", "_unwrap_ints"),
+    ("valued", "_add_ints"),
+    ("valued", "_wrap_ints"),
+    ("valued", "_add_terms"),
+    ("valued", "_wrap_terms"),
+    ("valued", "series_form"),
     ("witt", "_eval_law"),
     ("grammar", "MAX_U_DEGREE"),
     ("grammar", "_int"),

@@ -2,10 +2,12 @@
 
 These recompute answers by definition-level enumeration or, for field
 norms, by the determinant of the multiplication map.  They share no code
-with the routines they check beyond the series arithmetic itself.
+with the routines they check beyond the series arithmetic itself; the
+Brauer invariant shares none of that either.
 """
 
 import itertools
+from fractions import Fraction
 
 from wittram.coeff import FieldKind, ResidueElem
 from wittram.errors import PrecisionExhausted
@@ -234,3 +236,91 @@ def brute_pth_root(target, max_deg=3):
         if a ** spec.p == target:
             return a
     return None
+
+
+# The Hasse invariant of a symbol [omega, b) over F_p, on integer lifts
+# mod p^m: it shares no code with witt, brauer or valued's products.
+# Br(F_p((t)))[p^m] is Z/p^m.  With omega~_i and b~ the series whose
+# coefficients are the integers in [0, p) that name omega_i's and b's,
+#   w   = sum_i p^i * omega~_i^(p^(m-1-i))   (the last ghost component)
+#   inv = Res(w * db~/b~) mod p^m,
+# Schmid's residue formula at m = 1 and Witt's for every m (both in
+# J. reine angew. Math. 176).  Another lift changes omega~_i by p*d, and
+# (a + p*d)^(p^k) = a^(p^k) mod p^(k+1); it changes b~ by an exact
+# differential's worth, whose residue is 0.  The invariant is returned
+# as inv / p^m in Q/Z, so symbols of different lengths compare.
+
+def _zmul(a, b, modulus, top):
+    """The product of two {exponent: int} series mod modulus, kept
+    through t^top."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            if ea + eb <= top:
+                out[ea + eb] = (out.get(ea + eb, 0) + ca * cb) % modulus
+    return out
+
+
+def _zpow(a, k, modulus, top):
+    """a^k mod modulus through t^top, for a with terms: the factors still
+    to come lower an exponent by at most v each."""
+    v = min(a)
+    out = {0: 1}
+    for j in range(k):
+        out = _zmul(out, a, modulus, top - (k - 1 - j) * v)
+    return out
+
+
+def _integers(x):
+    return {e: c.num[0] for e, c in x.terms.items()}
+
+
+def brauer_invariant(sym):
+    """inv([omega, b)) over F_p, as a Fraction in [0, 1) with denominator
+    dividing p^m; None where the windows leave it undecided.
+
+    The ghost term of omega_i is known through t^0 when its precision
+    N_i >= 1 + (p^(m-1-i) - 1) * max(0, -v_i), v_i its valuation lower
+    bound; then w is known through t^0, and db/b has valuation >= -1.
+    b's unknown terms change db/b from t^(R-1) on, R = N_b - v(b), so
+    they miss the residue when R >= 1 - min(0, min_i p^(m-1-i) * v_i)
+    over the components with terms, which bounds w's valuation.
+    """
+    p, m, b = sym.p, sym.m, sym.b
+    modulus = p ** m
+    low = 0
+    for i, x in enumerate(sym.omega.components):
+        k, v = p ** (m - 1 - i), x.val_lower_bound()
+        if x.precision < 1 + (k - 1) * max(0, -v):
+            return None
+        if x.terms:
+            low = min(low, k * v)
+    vb = min(b.terms)
+    if b.precision - vb < 1 - low:
+        return None
+    w = {}
+    for i, x in enumerate(sym.omega.components):
+        if x.terms:
+            power = _zpow(_integers(x), p ** (m - 1 - i), modulus, 0)
+            for e, c in power.items():
+                w[e] = (w.get(e, 0) + p ** i * c) % modulus
+    w = {e: c for e, c in w.items() if c}
+    if not w:
+        return Fraction(0)
+    # db~/b~ = (sum_e e*b_e*t^(e-vb-1)) * unit^-1, b~ = t^vb * unit, is
+    # needed through t^top; its first factor starts at t^-1
+    top = -1 - min(w)
+    unit = [0] * (top + 2)
+    for e, c in _integers(b).items():
+        if e - vb < top + 2:
+            unit[e - vb] = c
+    inverse = [pow(unit[0], -1, modulus)]
+    for k in range(1, top + 2):
+        acc = sum(unit[j] * inverse[k - j] for j in range(1, k + 1))
+        inverse.append(-inverse[0] * acc % modulus)
+    dlog = _zmul(
+        {e - vb - 1: e * c for e, c in _integers(b).items()},
+        dict(enumerate(inverse)), modulus, top,
+    )
+    res = sum(c * dlog.get(-1 - e, 0) for e, c in w.items())
+    return Fraction(res % modulus, modulus)

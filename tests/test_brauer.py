@@ -1,11 +1,13 @@
 """Symbol algebra rewrites: certified traces, normalization, split tests."""
 
+import collections
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from wittram import brauer, sampling
+from wittram import brauer, sampling, theorems
 from wittram.brauer import (
     SPLIT,
     BrauerSymbol,
@@ -27,6 +29,7 @@ from wittram.brauer import (
 )
 from wittram.coeff import FieldKind, FieldSpec
 from wittram.errors import (
+    HypothesisNotVerified,
     HypothesisViolation,
     NoRootError,
     PrecisionExhausted,
@@ -35,10 +38,11 @@ from wittram.errors import (
     SpecMismatch,
 )
 from wittram.grammar import parse_symbol
-from wittram.valued import LaurentElem, frobenius_power, pth_root
+from wittram.valued import LaurentElem, frobenius_power, pth_power, pth_root
 from wittram.witt import WittVector, artin_schreier_map, witt_add
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U, F5, L, W
+from oracles import brauer_invariant
 
 
 def test_symbol_shape_guards():
@@ -636,3 +640,121 @@ def test_split_quick_declines_division_case():
     # unramified slot with uniformizer b: the division-algebra pattern
     sym = BrauerSymbol(W("[u]", F2U), L("t", F2U))
     assert is_split_quick(sym) is None
+
+
+# -- the Brauer invariant (tests/oracles.py) ----------------------------------
+
+def test_brauer_invariant_oracle_values():
+    # [(1, 0), t) generates Br[p^2] = Z/p^2 and [(0, 1), t) is p times
+    # it; a coboundary splits; a first component known only to t^1 does
+    # not fix its p-th power's t^0 term, so m = 2 leaves it undecided
+    for spec in (F2, F3, F5):
+        p = spec.p
+        t = L("t", spec)
+        assert brauer_invariant(BrauerSymbol(W("[1; 0]", spec), t)) == Fraction(1, p * p)
+        assert brauer_invariant(BrauerSymbol(W("[0; 1]", spec), t)) == Fraction(1, p)
+        assert brauer_invariant(BrauerSymbol(W("[1]", spec), t)) == Fraction(1, p)
+        g = W("[t^-2 + 1; t^-1 + t]", spec)
+        b = L("t^-1 + 2*t^2", spec)
+        assert brauer_invariant(BrauerSymbol(artin_schreier_map(g), b)) == 0
+        assert brauer_invariant(BrauerSymbol(W("[t^-1 + O(t^1)]", spec), t)) == 0
+        assert brauer_invariant(BrauerSymbol(W("[t^-1 + O(t^1); 0]", spec), t)) is None
+
+
+def _invariant_sum(symbols):
+    """The sum of the symbols' invariants in Q/Z, SPLIT counting 0; None
+    when the window leaves one undecided."""
+    total = Fraction(0)
+    for sym in symbols:
+        x = Fraction(0) if sym is SPLIT else brauer_invariant(sym)
+        if x is None:
+            return None
+        total += x
+    return total % 1
+
+
+def _check_invariant_steps(trace, counts, name):
+    for step in trace.steps:
+        before, after = _invariant_sum(step.before), _invariant_sum((step.after,))
+        if before is None or after is None:
+            counts[name, "undecided"] += 1
+            continue
+        assert before == after, (name, step.rule)
+        counts[name, "decided"] += 1
+
+
+def _check_split_certificate(sym, counts, name):
+    x = brauer_invariant(sym)
+    if x is not None:
+        assert x == 0, name
+        counts[name, "certificate"] += 1
+
+
+@pytest.mark.parametrize("p,m", list(itertools.product((2, 3, 5), (1, 2))))
+def test_every_trace_step_keeps_the_brauer_invariant(p, m):
+    # every step of the pipelines' traces adds invariants (a split is 0,
+    # same_b adds, strip_zero embeds Z/p^(m-1) as pZ/p^m), each split
+    # certificate has invariant 0 and each division certificate a unit;
+    # steps the window leaves undecided are counted, not checked
+    rng = sampling.make_rng(1000 * p + m)
+    spec = FieldSpec(p)
+    insep = theorems.insep_to_cyclic_p if m == 1 else theorems.insep_to_cyclic_p2
+    counts = collections.Counter()
+    for _ in range(40):
+        omega = WittVector(p, m, [
+            sampling.random_laurent(rng, spec, vmin=-4, vmax=3) for _ in range(m)
+        ])
+        b = sampling.random_symbol_b(rng, spec)
+        sym = BrauerSymbol(omega, b)
+        for construct in (insep, theorems.insep_to_cyclic_perfect):
+            con = construct(sym)
+            _check_invariant_steps(con.trace, counts, construct.__name__)
+            x, y = brauer_invariant(sym), brauer_invariant(con.result_symbol)
+            assert x is None or y is None or x == y
+        # is_split_quick on the symbol, on a coboundary, on b = gamma^(p^m)
+        g = WittVector(p, m, [
+            sampling.random_laurent(rng, spec, vmin=-3, vmax=3) for _ in range(m)
+        ])
+        gamma = sampling.random_symbol_b(rng, spec)
+        for candidate in (sym, BrauerSymbol(artin_schreier_map(g), b),
+                          BrauerSymbol(omega, frobenius_power(gamma, m))):
+            try:
+                trace = is_split_quick(candidate)
+            except PrecisionExhausted:
+                continue
+            if trace is not None:
+                _check_invariant_steps(trace, counts, "is_split_quick")
+                _check_split_certificate(candidate, counts, "is_split_quick")
+        i = rng.choice([k for k in range(1 - p, p) if k % p])
+        c = sampling.random_laurent(rng, spec, vmin=-2, vmax=2, precision=32,
+                                    nonzero=True)
+        out = lemma53_split(rng.randrange(1, p), i, c,
+                            sampling.random_symbol_b(rng, spec, precision=32))
+        _check_invariant_steps(out.trace, counts, "lemma53_split")
+        _check_split_certificate(out.trace.steps[0].before[0], counts, "lemma53_split")
+        if m == 2:
+            c = sampling.random_laurent(rng, spec, vmin=-2, vmax=2)
+            lifted = BrauerSymbol(WittVector(p, 2, (pth_power(c), omega.components[1])), b)
+            _check_invariant_steps(lemma54_rewrite(lifted).trace, counts, "lemma54_rewrite")
+        # an unramified omega: a constant outside the coboundary image
+        first = LaurentElem.from_residue(
+            sampling.random_nonsplit_constant(rng, spec)
+        ) + sampling.random_coboundary(rng, spec)
+        unramified = WittVector(p, m, [first] + [
+            sampling.random_laurent(rng, spec, vmin=0, vmax=3) for _ in range(m - 1)
+        ])
+        try:
+            theorems.division_certificate(unramified, b)
+        except (HypothesisNotVerified, PrecisionExhausted):
+            continue
+        x = brauer_invariant(BrauerSymbol(unramified, b))
+        if x is not None:
+            assert x.denominator == p ** m
+            counts["division_certificate", "certificate"] += 1
+    names = {name for name, _ in counts}
+    assert names >= {insep.__name__, "insep_to_cyclic_perfect", "is_split_quick",
+                     "lemma53_split", "division_certificate"}
+    for name in names - {"division_certificate"}:
+        assert counts[name, "decided"] > 0, name
+    for name in ("is_split_quick", "lemma53_split", "division_certificate"):
+        assert counts[name, "certificate"] > 0, name

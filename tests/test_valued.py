@@ -16,9 +16,11 @@ from wittram.valued import (
     ext_val,
     frobenius_power,
     mul_ints,
+    mul_terms,
     power_precision,
     pth_power,
     pth_root,
+    series_form,
 )
 
 from conftest import ALL_SPECS, F2, F2U, F3, F3U, F5, L
@@ -354,6 +356,32 @@ def test_mul_ints_adds_an_unreduced_product_into_out():
     assert list(out) == [5, 3, 0]
     assert mul_ints({0: 2}, {5: 3, 6: 1}, 6, {}, 1) == {5: 6}
     assert mul_ints({}, {0: 1}, 6, {}, 1) == {}
+
+
+def test_mul_terms_adds_a_product_into_out_keeping_zero_sums():
+    # mul_ints's contract over F_3(u): 2 * (u*t^-1 + t^2) * (t + u*t^4)
+    # below t^6, added into out: the t^6 product is dropped, t^3's sum
+    # 2*(u^2 + 1) cancels out's -2*(u^2 + 1) to a kept zero
+    u, one = F3U.u(), F3U.one()
+    out = {5: one, 3: -(u * u + one).scale_int(2)}
+    assert mul_terms({-1: u, 2: one}, {1: one, 4: u}, 6, out, 2) is out
+    assert out == {5: one, 3: F3U.zero(), 0: u.scale_int(2)}
+    assert list(out) == [5, 3, 0]
+    assert mul_terms({0: u}, {5: one, 6: one}, 6, {}, 1) == {5: u}
+    assert mul_terms({}, {0: one}, 6, {}, 1) == {}
+
+
+def test_fp_u_series_form_keeps_zero_sums_until_the_wrap_drops_them():
+    form = series_form(F3U)
+    u, one = F3U.u(), F3U.one()
+    out = {0: u}
+    assert form.add_into(out, {0: u, 1: one}, -1) is out
+    assert out == {0: F3U.zero(), 1: -one}
+    assert list(out) == [0, 1]
+    x = form.wrap(F3U, {0: F3U.zero(), 1: -one, 2: F3U.zero(), 7: u}, 5)
+    assert x.terms == {1: -one}
+    assert x.precision == 5
+    assert form.unwrap(x) == {1: -one}
 
 
 def test_fp_series_arithmetic_makes_no_residue_sums_or_products(monkeypatch):

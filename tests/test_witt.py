@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 from wittram import witt
 from wittram.coeff import FieldKind, FieldSpec, ResidueElem
 from wittram.errors import LimitExceeded, ShapeMismatch
-from wittram.valued import DEFAULT_PRECISION, LaurentElem, mul_ints, power_precision
+from wittram.valued import DEFAULT_PRECISION, LaurentElem, power_precision
 from wittram.witt import (
     IntPoly,
     WittVector,
@@ -282,14 +282,15 @@ def test_group_law_matches_z_polynomials(p, m, draws, monkeypatch):
     _check_random_law_parity(rng, kinds, p, m, draws)
     # one dense draw over F_p per shape: from m = 2 on, the component sums
     # the law reduces pass p^3, and some are nonzero yet vanish mod p at
-    # that one reduction.  witt_add builds its power tables first, so the
+    # that one reduction.  The form witt takes from series_form wraps only
+    # the law's sums (power-table products go through LaurentElem), so the
     # last m reductions are the m component sums.
     sums = []
-    from_ints = LaurentElem._from_ints.__func__
-    monkeypatch.setattr(LaurentElem, "_from_ints", classmethod(
-        lambda cls, spec, ints, n: sums.append(ints) or from_ints(cls, spec, ints, n)
-    ))
     spec = FieldSpec(p, FieldKind.PRIME)
+    form = witt.series_form(spec)
+    monkeypatch.setattr(witt, "series_form", lambda spec: form._replace(
+        wrap=lambda spec, ints, n: sums.append(ints) or form.wrap(spec, ints, n)
+    ))
     a = _random_vector(rng, spec, m, _dense_component)
     b = _random_vector(rng, spec, m, _dense_component)
     witt_add(a, b)
@@ -577,9 +578,10 @@ def test_fp_group_law_multiplies_out_only_monomials_nonzero_mod_p(monkeypatch):
     a = W("[t^-1 + 2*t; t^-2 + t^3; 2 + t]", F3)
     b = W("[t^-2 + t; 2*t^-1 + t^4; t^-1]", F3)
     calls = []
-    monkeypatch.setattr(
-        witt, "mul_ints", lambda *args: calls.append(1) or mul_ints(*args)
-    )
+    form = witt.series_form(F3)
+    monkeypatch.setattr(witt, "series_form", lambda spec: form._replace(
+        mul_into=lambda *args: calls.append(1) or form.mul_into(*args)
+    ))
     witt_add(a, b)
     monomials = [x for monos in witt._sum_law(3, 3).monomials for x in monos]
     assert sum(c == 0 for _, c, _ in monomials) == 2
